@@ -63,6 +63,11 @@ type Controller struct {
 	leakCount  []int32
 	bvStates   []*bvState
 
+	// NFL lookup index tables, built once: the regular and τhot tracking
+	// orders with their inverses, and each one's TreeLing → region table
+	// (one flat arena, two halves). See nflIndex.
+	nfl, hotNFL *nflIndex
+
 	// Statistics used by the evaluation figures.
 	Assignments    stats.Counter // TreeLing→domain assignments
 	Untracked      stats.Counter // slots leaked by NFL in-place tracking
@@ -124,6 +129,9 @@ func NewController(cfg *config.Config, lay *layout.Layout, mode Mode, forest *tr
 	for i := range c.tlDom {
 		c.tlDom[i] = -1
 	}
+	regions := make([]int32, 2*lay.TreeLingCount)
+	c.nfl = newNFLIndex(c.trackedNodes(), lay.NodesPerTreeLing, regions[:lay.TreeLingCount])
+	c.hotNFL = newNFLIndex(c.hotNodes(), lay.NodesPerTreeLing, regions[lay.TreeLingCount:])
 	c.unassigned = make([]int, lay.TreeLingCount)
 	for i := range c.unassigned {
 		c.unassigned[i] = i
@@ -171,11 +179,11 @@ func (c *Controller) CreateDomain(id int) (*Domain, error) {
 	}
 	d := &Domain{
 		id:    id,
-		space: newNFLSpace(c.cfg.NFLEntriesPerBlock),
+		space: newNFLSpace(c.cfg.NFLEntriesPerBlock, c.nfl),
 		nflb:  newNFLB(c.cfg.NFLBEntries),
 	}
 	if c.mode == ModePro {
-		d.hotSpace = newNFLSpace(c.cfg.NFLEntriesPerBlock)
+		d.hotSpace = newNFLSpace(c.cfg.NFLEntriesPerBlock, c.hotNFL)
 		d.hot = newHotTracker(c.cfg.HotTrackerEntries, c.cfg.HotCounterBits, c.cfg.HotThreshold, c.cfg.HotClearInterval)
 		d.hotPages = &hotPageTable{}
 	}
@@ -229,7 +237,7 @@ func (c *Controller) fullAvail() uint8 {
 	return uint8(1<<uint(c.arity) - 1)
 }
 
-// trackedNodes returns the NFL tracking order for a new TreeLing under the
+// trackedNodes returns the NFL tracking order of every TreeLing under the
 // controller's mode: leaf nodes only for Basic (and the BV variants), all
 // nodes top-down for Invert, and top-down minus the hot region for Pro.
 func (c *Controller) trackedNodes() []int32 {
@@ -278,11 +286,11 @@ func (c *Controller) hotNodeCount() int {
 // hotNodes returns the top-down indices of the τhot region: the first
 // hotNodeCount nodes of level 2 (their leaf children are discarded, which
 // is what shortens the hot verification path).
-func (c *Controller) hotNodes() []int {
+func (c *Controller) hotNodes() []int32 {
 	n := c.hotNodeCount()
-	out := make([]int, n)
+	out := make([]int32, n)
 	for i := range out {
-		out[i] = c.lay.NodeIndex(2, i)
+		out[i] = int32(c.lay.NodeIndex(2, i))
 	}
 	return out
 }
@@ -294,7 +302,7 @@ func (c *Controller) hotExcluded() []bool {
 	for _, hn := range c.hotNodes() {
 		skip[hn] = true
 		for s := 0; s < c.arity; s++ {
-			if child, ok := c.lay.Child(hn, s); ok {
+			if child, ok := c.lay.Child(int(hn), s); ok {
 				skip[child] = true
 			}
 		}
@@ -342,19 +350,14 @@ func (c *Controller) assignTreeLing(d *Domain, ops *OpList) error {
 		}
 		return nil
 	}
-	r := d.space.addRegion(tl, c.trackedNodes(), c.fullAvail(), 0)
+	r := d.space.addRegion(tl, c.fullAvail(), 0)
 	for b := 0; b < r.nBlocks; b++ {
 		ops.Write(c.lay.NFLBlockAddr(tl, b))
 	}
 	if c.mode == ModePro {
-		hot := c.hotNodes()
-		tracked := make([]int32, len(hot))
-		for i, hn := range hot {
-			tracked[i] = int32(hn)
-		}
 		// Hot NFL blocks live after the regular NFL blocks in the
 		// TreeLing's NFL address range.
-		hr := d.hotSpace.addRegion(tl, tracked, c.fullAvail(), r.nBlocks)
+		hr := d.hotSpace.addRegion(tl, c.fullAvail(), r.nBlocks)
 		for b := 0; b < hr.nBlocks; b++ {
 			ops.Write(c.lay.NFLBlockAddr(tl, r.nBlocks+b))
 		}
@@ -366,14 +369,14 @@ func (c *Controller) assignTreeLing(d *Domain, ops *OpList) error {
 		// overwrite that page's hash with a node hash (the strict
 		// top-down fill assumed by Figure 12 is bypassed under τhot, so
 		// the chain must be rooted eagerly, while the TreeLing is empty).
-		for _, hn := range hot {
-			for node := hn; ; {
+		for _, hn := range c.hotNFL.tracked {
+			for node := int(hn); ; {
 				p, slot, okp := c.lay.Parent(node)
 				if !okp || parent[p]&(1<<uint(slot)) != 0 {
 					break // root reached, or shared ancestor already converted
 				}
 				parent[p] |= 1 << uint(slot)
-				d.space.clearSlotAnywhere(packTag(tl, p), slot)
+				d.space.clearSlot(tl, p, slot)
 				c.Conversions.Inc()
 				node = p
 			}
@@ -564,10 +567,7 @@ func (c *Controller) releaseRegular(d *Domain, slot SlotID, ops *OpList) {
 // releaseHot returns a τhot slot to its TreeLing's hot NFL.
 func (c *Controller) releaseHot(d *Domain, slot SlotID, ops *OpList) {
 	tag := packTag(slot.TreeLing(), slot.Node())
-	for _, hr := range d.hotSpace.regions {
-		if hr.tl != slot.TreeLing() {
-			continue
-		}
+	if hr := d.hotSpace.regionOf(slot.TreeLing()); hr != nil {
 		for b := 0; b < hr.nBlocks; b++ {
 			d.nflb.Access(c.lay, hr.tl, hr.blockBase+b, true, ops)
 			if d.hotSpace.release(hr, b, tag, slot.Slot()) {

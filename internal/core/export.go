@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"ivleague/internal/stats"
 )
@@ -46,4 +47,39 @@ func writeSpaceFrontier(w io.Writer, name string, s *nflSpace) {
 		return
 	}
 	fmt.Fprintf(w, " %s head=%d,%d\n", name, s.fRegion, s.fBlock)
+}
+
+// CheckNFLUnique verifies that no (TreeLing, node, slot) is offered by
+// more than one NFL entry of a domain, across its regular and τhot spaces.
+// The NFL lookup index relies on it: a lookup returns the first entry it
+// finds offering a slot, which is then the entry a scan of the whole
+// space would pick. It returns an error naming the first duplicate.
+func (c *Controller) CheckNFLUnique() error {
+	type offer struct {
+		tag  int64
+		slot int
+	}
+	for _, id := range stats.SortedKeys(c.domains) {
+		d := c.domains[id]
+		seen := make(map[offer]bool)
+		for _, s := range []*nflSpace{d.space, d.hotSpace} {
+			if s == nil {
+				continue
+			}
+			for _, r := range s.regions {
+				for _, e := range r.entries {
+					for a := e.avail; a != 0; a &= a - 1 {
+						o := offer{e.tag, bits.TrailingZeros8(a)}
+						if seen[o] {
+							tl, node := unpackTag(e.tag)
+							return fmt.Errorf("core: domain %d: slot %d of node %d in TreeLing %d is offered by two NFL entries",
+								id, o.slot, node, tl)
+						}
+						seen[o] = true
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

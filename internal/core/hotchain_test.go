@@ -26,8 +26,8 @@ func TestProHotChainPreConvertedToRoot(t *testing.T) {
 	d := c.domains[1]
 	tl := d.treelings[0]
 	onChain := map[SlotID]bool{}
-	for _, hn := range c.hotNodes() {
-		for node := hn; ; {
+	for _, hn := range c.hotNFL.tracked {
+		for node := int(hn); ; {
 			p, slot, ok := lay.Parent(node)
 			if !ok {
 				break

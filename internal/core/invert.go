@@ -52,11 +52,8 @@ func (c *Controller) ensureParentConverted(d *Domain, tl, node int, ops *OpList)
 // were left behind there, migrateToHot would later hand the same slot to
 // a hotpage and overwrite a parent link (or a relocated page's hash).
 func (c *Controller) consumeSlot(d *Domain, tl, node, slot int) {
-	if d.space.clearSlotAnywhere(packTag(tl, node), slot) {
-		return
-	}
-	if d.hotSpace != nil {
-		d.hotSpace.clearSlotAnywhere(packTag(tl, node), slot)
+	if !d.space.clearSlot(tl, node, slot) && d.hotSpace != nil {
+		d.hotSpace.clearSlot(tl, node, slot)
 	}
 }
 

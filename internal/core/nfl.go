@@ -26,7 +26,46 @@ type nflRegion struct {
 	tl        int
 	entries   []nflEntry
 	nBlocks   int
-	blockBase int // offset within the TreeLing's NFL address range
+	blockBase int      // offset within the TreeLing's NFL address range
+	moved     []uint64 // lookup index: bit i set = entry i is in the space's repurposed list
+}
+
+// nflIndex is the controller-wide part of the NFL lookup index for one
+// kind of space (the regular NFL, or the τhot NFL under Pro). An entry
+// offering a slot of node n in TreeLing tl sits either at n's canonical
+// position — entry offset[n] of tl's region, where addRegion wrote it —
+// or at a position release has re-tagged (the space's repurposed list),
+// so a lookup checks those two places instead of scanning the space.
+type nflIndex struct {
+	tracked []int32 // canonical entry order: offset → node (what addRegion writes)
+	offset  []int32 // its inverse: node → offset, -1 for untracked nodes
+	// region maps TreeLing → index of its region in the owning domain's
+	// space. It is a view into a controller arena shared by every domain
+	// and is not cleared when a TreeLing is recycled; regionOf confirms
+	// the region's TreeLing before trusting an entry.
+	region []int32
+}
+
+// newNFLIndex builds the index for one tracking order over TreeLings of
+// nodes nodes; region is the TreeLing → region table it fills.
+func newNFLIndex(tracked []int32, nodes int, region []int32) *nflIndex {
+	idx := &nflIndex{tracked: tracked, offset: make([]int32, nodes), region: region}
+	for n := range idx.offset {
+		idx.offset[n] = -1
+	}
+	for off, n := range tracked {
+		idx.offset[n] = int32(off)
+	}
+	return idx
+}
+
+// canonicalTag returns the tag addRegion writes at entry offset off of
+// TreeLing tl's region (-1 for padding).
+func (idx *nflIndex) canonicalTag(tl, off int) int64 {
+	if off < len(idx.tracked) {
+		return packTag(tl, int(idx.tracked[off]))
+	}
+	return -1
 }
 
 // nflSpace is a domain's Node Free-List: the concatenation of the NFL
@@ -34,36 +73,60 @@ type nflRegion struct {
 // (the head register). The paper's invariant — every block before the
 // frontier is fully mapped — makes allocation O(1); deallocations re-track
 // freed slots at the frontier (tag match, entry repurposing, or a one-step
-// head rewind), so freed capacity is reused immediately.
+// head rewind), so freed capacity is reused immediately. Consuming a
+// designated slot (a ρ-conversion) is O(1) too, through the lookup index
+// (idx plus repurposed), which is derived state: restore rebuilds it and
+// neither the persist image nor the state digest carries it.
 type nflSpace struct {
 	epb     int
 	regions []*nflRegion
 	fRegion int // frontier region index
 	fBlock  int // frontier block within that region
+
+	idx        *nflIndex
+	repurposed []*nflEntry // entries release has re-tagged, each listed once
 }
 
-func newNFLSpace(epb int) *nflSpace { return &nflSpace{epb: epb} }
+func newNFLSpace(epb int, idx *nflIndex) *nflSpace { return &nflSpace{epb: epb, idx: idx} }
 
 // addRegion appends the NFL region of a newly assigned TreeLing tracking
-// the given node indices, each with the initial availability initAvail.
-func (s *nflSpace) addRegion(tl int, tracked []int32, initAvail uint8, blockBase int) *nflRegion {
-	nBlocks := (len(tracked) + s.epb - 1) / s.epb
-	r := &nflRegion{
-		tl:        tl,
-		entries:   make([]nflEntry, nBlocks*s.epb),
-		nBlocks:   nBlocks,
-		blockBase: blockBase,
-	}
-	for i := range r.entries {
-		if i < len(tracked) {
-			r.entries[i] = nflEntry{tag: packTag(tl, int(tracked[i])), avail: initAvail}
-		} else {
-			r.entries[i] = nflEntry{tag: -1}
+// the index's nodes, each with the initial availability initAvail.
+func (s *nflSpace) addRegion(tl int, initAvail uint8, blockBase int) *nflRegion {
+	n := len(s.idx.tracked)
+	entries := make([]nflEntry, (n+s.epb-1)/s.epb*s.epb)
+	for i := range entries {
+		entries[i].tag = s.idx.canonicalTag(tl, i)
+		if i < n {
+			entries[i].avail = initAvail
 		}
 	}
+	return s.pushRegion(tl, entries, blockBase)
+}
+
+// pushRegion appends a region holding entries and indexes it.
+func (s *nflSpace) pushRegion(tl int, entries []nflEntry, blockBase int) *nflRegion {
+	r := &nflRegion{
+		tl:        tl,
+		entries:   entries,
+		nBlocks:   len(entries) / s.epb,
+		blockBase: blockBase,
+		moved:     make([]uint64, (len(entries)+63)/64),
+	}
+	s.idx.region[tl] = int32(len(s.regions))
 	//ivlint:allow hotalloc — NFL region materialization: one per frontier advance, bounded by tracked nodes
 	s.regions = append(s.regions, r)
 	return r
+}
+
+// regionOf returns TreeLing tl's region, or nil when the space has none.
+func (s *nflSpace) regionOf(tl int) *nflRegion {
+	if tl < 0 || tl >= len(s.idx.region) {
+		return nil
+	}
+	if ri := int(s.idx.region[tl]); ri < len(s.regions) && s.regions[ri].tl == tl {
+		return s.regions[ri]
+	}
+	return nil
 }
 
 // exhausted reports whether the frontier has run past the last block.
@@ -162,25 +225,54 @@ func (s *nflSpace) release(r *nflRegion, b int, tag int64, slot int) bool {
 	for i := range es {
 		if es[i].avail == 0 {
 			es[i] = nflEntry{tag: tag, avail: 1 << uint(slot)}
+			s.noteRepurposed(r, b*s.epb+i)
 			return true
 		}
 	}
 	return false
 }
 
-// clearSlotAnywhere removes a specific (tag, slot) from availability
-// wherever it is tracked (used by Invert conversion and Pro reservation,
-// which consume designated slots). Reports whether it was found.
-func (s *nflSpace) clearSlotAnywhere(tag int64, slot int) bool {
-	for _, r := range s.regions {
-		for i := range r.entries {
-			if r.entries[i].tag == tag && r.entries[i].avail&(1<<uint(slot)) != 0 {
-				r.entries[i].avail &^= 1 << uint(slot)
-				return true
+// noteRepurposed lists entry i of r as re-tagged, once.
+func (s *nflSpace) noteRepurposed(r *nflRegion, i int) {
+	if w, bit := i/64, uint64(1)<<uint(i%64); r.moved[w]&bit == 0 {
+		r.moved[w] |= bit
+		//ivlint:allow hotalloc — each NFL entry position is listed at most once, so growth is bounded by the space's entries
+		s.repurposed = append(s.repurposed, &r.entries[i])
+	}
+}
+
+// offering returns the entry offering slot of (tl, node), or nil. It looks
+// only where such an entry can sit: the node's canonical position in tl's
+// region and the repurposed entries. No two entries of a domain offer the
+// same slot (the invariant ivcheck asserts), so this is the entry a scan
+// of the whole space would find.
+func (s *nflSpace) offering(tl, node, slot int) *nflEntry {
+	tag, bit := packTag(tl, node), uint8(1)<<uint(slot)
+	if r := s.regionOf(tl); r != nil && node >= 0 && node < len(s.idx.offset) {
+		if off := s.idx.offset[node]; off >= 0 {
+			if e := &r.entries[off]; e.tag == tag && e.avail&bit != 0 {
+				return e
 			}
 		}
 	}
-	return false
+	for _, e := range s.repurposed {
+		if e.tag == tag && e.avail&bit != 0 {
+			return e
+		}
+	}
+	return nil
+}
+
+// clearSlot removes slot of (tl, node) from availability (used by Invert
+// conversion and Pro reservation, which consume designated slots).
+// Reports whether an entry offered it.
+func (s *nflSpace) clearSlot(tl, node, slot int) bool {
+	e := s.offering(tl, node, slot)
+	if e == nil {
+		return false
+	}
+	e.avail &^= 1 << uint(slot)
+	return true
 }
 
 // freeSlots returns the number of attachable slots tracked in the space.

@@ -8,13 +8,30 @@ import (
 	"ivleague/internal/layout"
 )
 
-func testSpace(tl int, nodes int) *nflSpace {
-	s := newNFLSpace(8)
-	tracked := make([]int32, nodes)
-	for i := range tracked {
-		tracked[i] = int32(i + 100)
+// testIndex builds a lookup index tracking the given nodes, over up to 8
+// TreeLings.
+func testIndex(tracked []int32) *nflIndex {
+	nodes := 0
+	for _, n := range tracked {
+		if int(n) >= nodes {
+			nodes = int(n) + 1
+		}
 	}
-	s.addRegion(tl, tracked, 0xff, 0)
+	return newNFLIndex(tracked, nodes, make([]int32, 8))
+}
+
+// seqNodes returns the node list first, first+1, ..., first+n-1.
+func seqNodes(first, n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(first + i)
+	}
+	return out
+}
+
+func testSpace(tl int, nodes int) *nflSpace {
+	s := newNFLSpace(8, testIndex(seqNodes(100, nodes)))
+	s.addRegion(tl, 0xff, 0)
 	return s
 }
 
@@ -114,9 +131,9 @@ func TestNFLSpaceReleaseFailsWhenAllPartial(t *testing.T) {
 }
 
 func TestNFLSpaceRewindAcrossRegions(t *testing.T) {
-	s := newNFLSpace(8)
-	s.addRegion(1, []int32{1, 2, 3, 4, 5, 6, 7, 8}, 0xff, 0)
-	s.addRegion(2, []int32{1, 2, 3, 4, 5, 6, 7, 8}, 0xff, 0)
+	s := newNFLSpace(8, testIndex(seqNodes(1, 8)))
+	s.addRegion(1, 0xff, 0)
+	s.addRegion(2, 0xff, 0)
 	// Move the frontier into region 2.
 	s.advance()
 	if r, _ := s.frontier(); r.tl != 2 {
@@ -136,13 +153,9 @@ func TestNFLSpaceRewindAcrossRegions(t *testing.T) {
 func TestNFLSpaceRewindCrossRegionMultiBlock(t *testing.T) {
 	// Section VI-C1: rewinding at a region's first block must land on the
 	// *last* block of the previous TreeLing's NFL, not its first.
-	s := newNFLSpace(8)
-	tracked := make([]int32, 24) // 3 blocks of 8 entries
-	for i := range tracked {
-		tracked[i] = int32(i)
-	}
-	s.addRegion(1, tracked, 0xff, 0)
-	s.addRegion(2, tracked[:8], 0xff, 3)
+	s := newNFLSpace(8, testIndex(seqNodes(0, 24))) // 3 blocks of 8 entries
+	s.addRegion(1, 0xff, 0)
+	s.addRegion(2, 0xff, 3)
 	for i := 0; i < 3; i++ { // frontier to region 2, block 0
 		s.advance()
 	}
@@ -160,9 +173,9 @@ func TestNFLSpaceRewindCrossRegionMultiBlock(t *testing.T) {
 func TestNFLSpaceRewindFromExhausted(t *testing.T) {
 	// Once the frontier has run past the last region, a deallocation-driven
 	// rewind must step back onto the last region's last block.
-	s := newNFLSpace(8)
-	s.addRegion(1, []int32{1, 2, 3, 4, 5, 6, 7, 8}, 0xff, 0)
-	s.addRegion(2, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0xff, 1)
+	s := newNFLSpace(8, testIndex(seqNodes(1, 10)))
+	s.addRegion(1, 0xff, 0)
+	s.addRegion(2, 0xff, 2)
 	for !s.exhausted() {
 		s.advance()
 	}
@@ -193,13 +206,13 @@ func TestNFLSpaceFreeSlotAccounting(t *testing.T) {
 	}
 }
 
-func TestClearSlotAnywhere(t *testing.T) {
+func TestNFLSpaceClearSlot(t *testing.T) {
 	s := testSpace(0, 16)
 	tag := packTag(0, 108) // second block
-	if !s.clearSlotAnywhere(tag, 5) {
-		t.Fatal("clearSlotAnywhere missed an available slot")
+	if !s.clearSlot(0, 108, 5) {
+		t.Fatal("clearSlot missed an available slot")
 	}
-	if s.clearSlotAnywhere(tag, 5) {
+	if s.clearSlot(0, 108, 5) {
 		t.Fatal("double clear succeeded")
 	}
 	// The cleared slot must not be handed out.
@@ -313,4 +326,31 @@ func TestHotTrackerRemove(t *testing.T) {
 	}
 	tr.remove(9) // idempotent
 	_ = config.BlockBytes
+}
+
+func TestNFLSpaceClearSlotFindsRepurposedEntry(t *testing.T) {
+	s := testSpace(0, 16)
+	r, b := s.frontier()
+	own := packTag(0, 100)
+	for i := 0; i < 8; i++ {
+		s.take(r, b, own)
+	}
+	// TreeLing 3 has no region here, so only the repurposed list can lead
+	// the lookup to the entry release re-tags for its slot.
+	if !s.release(r, b, packTag(3, 42), 2) {
+		t.Fatal("release found no entry to repurpose")
+	}
+	if got, want := s.offering(3, 42, 2), scanOffering(s, 3, 42, 2); got == nil || got != want {
+		t.Fatalf("offering = %p, whole-space scan = %p", got, want)
+	}
+	if len(s.repurposed) != 1 {
+		t.Fatalf("%d repurposed entries listed, want 1", len(s.repurposed))
+	}
+	if !s.clearSlot(3, 42, 2) || s.clearSlot(3, 42, 2) {
+		t.Fatal("clearSlot did not consume the repurposed entry's slot exactly once")
+	}
+	// Re-tagging the same position again must not list it twice.
+	if !s.release(r, b, packTag(4, 7), 0) || len(s.repurposed) != 1 {
+		t.Fatalf("second repurposing of one entry: %d listed, want 1", len(s.repurposed))
+	}
 }

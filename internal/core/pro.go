@@ -276,40 +276,28 @@ func (c *Controller) reclaimHot(d *Domain, ops *OpList) bool {
 // first), copy the hash (one node read + one node write), release the old
 // slot through the regular NFL path, and update the LMM.
 func (c *Controller) migrateToHot(d *Domain, pfn layout.PFN, old SlotID, ops *OpList) (SlotID, bool) {
+	own := d.hotSpace.regionOf(old.TreeLing())
 	for attempt := 0; attempt < 2; attempt++ {
-		// Two passes over the hot regions: the page's own TreeLing first,
-		// then the others in assignment order.
-		for pass := 0; pass < 2; pass++ {
-			for _, hr := range d.hotSpace.regions {
-				if (hr.tl == old.TreeLing()) != (pass == 0) {
-					continue
-				}
-				for b := 0; b < hr.nBlocks; b++ {
-					tag, ok := d.hotSpace.peek(hr, b)
-					if !ok {
-						continue
-					}
-					d.nflb.Access(c.lay, hr.tl, hr.blockBase+b, false, ops)
-					sl, ok := d.hotSpace.take(hr, b, tag)
-					if !ok {
-						continue
-					}
-					d.nflb.Access(c.lay, hr.tl, hr.blockBase+b, true, ops)
-					_, node := unpackTag(tag)
-					ns := MakeSlot(hr.tl, node, sl)
-					c.moveHash(d, old, ns, ops)
-					c.clearOccupied(d, old)
-					c.releaseRegular(d, old, ops) // the regular slot becomes free
-					c.markOccupied(d, ns)
-					d.hotPages.set(pfn, ns)
-					d.hotQueuePush(pfn)
-					c.Migrations.Inc()
-					if c.leaf != nil {
-						c.leaf.UpdateLeaf(d.id, pfn, ns)
-					}
-					return ns, true
-				}
+		// The page's own TreeLing first, then the others in assignment
+		// order.
+		ns, ok := c.claimHot(d, own, ops)
+		for i := 0; !ok && i < len(d.hotSpace.regions); i++ {
+			if hr := d.hotSpace.regions[i]; hr != own {
+				ns, ok = c.claimHot(d, hr, ops)
 			}
+		}
+		if ok {
+			c.moveHash(d, old, ns, ops)
+			c.clearOccupied(d, old)
+			c.releaseRegular(d, old, ops) // the regular slot becomes free
+			c.markOccupied(d, ns)
+			d.hotPages.set(pfn, ns)
+			d.hotQueuePush(pfn)
+			c.Migrations.Inc()
+			if c.leaf != nil {
+				c.leaf.UpdateLeaf(d.id, pfn, ns)
+			}
+			return ns, true
 		}
 		// τhot full: lazily reclaim an inactive resident and retry.
 		if !c.reclaimHot(d, ops) {
@@ -317,6 +305,28 @@ func (c *Controller) migrateToHot(d *Domain, pfn layout.PFN, old SlotID, ops *Op
 		}
 	}
 	return InvalidSlot, false // τhot saturated with actively hot pages
+}
+
+// claimHot claims the first free slot of τhot region hr (nil: none).
+func (c *Controller) claimHot(d *Domain, hr *nflRegion, ops *OpList) (SlotID, bool) {
+	if hr == nil {
+		return InvalidSlot, false
+	}
+	for b := 0; b < hr.nBlocks; b++ {
+		tag, ok := d.hotSpace.peek(hr, b)
+		if !ok {
+			continue
+		}
+		d.nflb.Access(c.lay, hr.tl, hr.blockBase+b, false, ops)
+		sl, ok := d.hotSpace.take(hr, b, tag)
+		if !ok {
+			continue
+		}
+		d.nflb.Access(c.lay, hr.tl, hr.blockBase+b, true, ops)
+		_, node := unpackTag(tag)
+		return MakeSlot(hr.tl, node, sl), true
+	}
+	return InvalidSlot, false
 }
 
 // migrateBack moves an inactive hotpage out of τhot into a regular slot.

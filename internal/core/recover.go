@@ -65,15 +65,19 @@ func cloneSpace(s *nflSpace) *spaceImage {
 	return img
 }
 
-func (img *spaceImage) restore() *nflSpace {
-	s := newNFLSpace(img.epb)
-	for _, r := range img.regions {
-		s.regions = append(s.regions, &nflRegion{
-			tl:        r.tl,
-			entries:   append([]nflEntry(nil), r.entries...),
-			nBlocks:   r.nBlocks,
-			blockBase: r.blockBase,
-		})
+// restore rebuilds a live space from the image. The lookup index is
+// derived state the image does not carry: pushRegion re-indexes each
+// region, and every entry whose tag differs from the canonical one
+// addRegion wrote there is listed as repurposed.
+func (img *spaceImage) restore(idx *nflIndex) *nflSpace {
+	s := newNFLSpace(img.epb, idx)
+	for _, ir := range img.regions {
+		r := s.pushRegion(ir.tl, append([]nflEntry(nil), ir.entries...), ir.blockBase)
+		for i, e := range r.entries {
+			if e.tag != idx.canonicalTag(r.tl, i) {
+				s.noteRepurposed(r, i)
+			}
+		}
 	}
 	s.scanFrontier()
 	return s
@@ -176,7 +180,7 @@ func (c *Controller) Restore(img *Image) error {
 		d := &Domain{
 			id:        di.id,
 			treelings: append([]int(nil), di.treelings...),
-			space:     di.space.restore(),
+			space:     di.space.restore(c.nfl),
 			nflb:      newNFLB(c.cfg.NFLBEntries),
 			mapped:    di.mapped,
 		}
@@ -198,7 +202,7 @@ func (c *Controller) Restore(img *Image) error {
 			if di.hotSpace == nil {
 				return fmt.Errorf("core: Pro image misses the hot NFL of domain %d", di.id)
 			}
-			d.hotSpace = di.hotSpace.restore()
+			d.hotSpace = di.hotSpace.restore(c.hotNFL)
 			d.hot = newHotTracker(c.cfg.HotTrackerEntries, c.cfg.HotCounterBits, c.cfg.HotThreshold, c.cfg.HotClearInterval)
 			d.hotPages = &hotPageTable{}
 			// The migration FIFO is on-chip and lost; rebuild it in a
