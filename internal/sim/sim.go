@@ -333,7 +333,7 @@ func NewMachine(cfg *config.Config, scheme config.Scheme, mix workload.Mix, part
 						m.pendingErr = err
 					}
 					if ok {
-						t.tlb.Invalidate(layout.VPN(v))
+						m.shootdown(t.proc, layout.VPN(v))
 					}
 				}
 			}
@@ -350,6 +350,16 @@ func NewMachine(cfg *config.Config, scheme config.Scheme, mix workload.Mix, part
 		mem.SetAudit(mo.audit)
 	}
 	return m, nil
+}
+
+// shootdown invalidates vpn in the TLB of every thread of proc: after an
+// unmap no thread of the process may keep translating to the freed frame.
+func (m *Machine) shootdown(proc *osmodel.Process, vpn layout.VPN) {
+	for _, th := range m.threads {
+		if th.proc == proc {
+			th.tlb.Invalidate(vpn)
+		}
+	}
 }
 
 // registerMetrics wires every component's counters into one registry, so

@@ -148,3 +148,26 @@ func TestRunMixErrRejectsImpossibleConfig(t *testing.T) {
 		t.Fatal("machine construction with zero cores did not error")
 	}
 }
+
+// An unmap must shoot the page down in every TLB of the process, not just
+// the unmapping thread's. M-1's dedup runs two threads in one process and
+// frees pages during its churn phase; with ivbench's quick-scale config
+// and seed 33 its sibling thread used to keep a stale translation and
+// read the freed frame ("access to unmapped pfn").
+func TestUnmapShootsDownSiblingTLBs(t *testing.T) {
+	cfg := config.Default()
+	cfg.Sim.WarmupInstr = 30_000
+	cfg.Sim.MeasureInstr = 120_000
+	cfg.Sim.Seed = 33
+	mix, err := workload.MixByName("M-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []config.Scheme{
+		config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro,
+	} {
+		if res := RunMix(&cfg, scheme, mix); res.Failed {
+			t.Errorf("%v: %s", scheme, res.FailMsg)
+		}
+	}
+}
