@@ -10,6 +10,10 @@
 //
 //	ivperf -check bench/BENCH_old.json bench/BENCH_new.json
 //	ivperf -check -tol 0.5 OLD NEW    # cross-machine comparison
+//	ivperf -check bench NEW           # OLD = the directory's newest point
+//
+// Either argument may be a directory; its point with the largest
+// created_unix is used.
 //
 // A scenario regresses only when its median ns/op slows beyond -tol
 // AND the slowdown clears a median-absolute-deviation noise floor, so
@@ -27,7 +31,7 @@ import (
 )
 
 func main() {
-	check := flag.Bool("check", false, "compare two BENCH files (args: OLD NEW) instead of measuring; exit 1 on regression")
+	check := flag.Bool("check", false, "compare two BENCH files (args: OLD NEW, each a file or a directory meaning its newest point) instead of measuring; exit 1 on regression")
 	tol := flag.Float64("tol", 0.25, "with -check, tolerated relative slowdown before a scenario regresses (0.25 = 25%; use 0.5+ across machines)")
 	madFactor := flag.Float64("mad-factor", 3, "with -check, noise floor as a multiple of the runs' median absolute deviations (0 = ratio test only)")
 	full := flag.Bool("full", false, "run the full scenario set (default: the quick CI set)")
@@ -87,13 +91,13 @@ func main() {
 	fmt.Printf("ivperf: %d scenarios -> %s\n", len(bf.Scenarios), out)
 }
 
-func runCheck(oldPath, newPath string, opt obs.CheckOptions) int {
-	oldF, err := obs.ReadBenchFile(oldPath)
+func runCheck(oldArg, newArg string, opt obs.CheckOptions) int {
+	oldF, oldPath, err := obs.LoadBenchPoint(oldArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ivperf: OLD:", err)
 		return 2
 	}
-	newF, err := obs.ReadBenchFile(newPath)
+	newF, newPath, err := obs.LoadBenchPoint(newArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ivperf: NEW:", err)
 		return 2

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
@@ -145,6 +146,42 @@ func ReadBenchFile(path string) (*BenchFile, error) {
 		return nil, fmt.Errorf("obs: %s: %w", path, err)
 	}
 	return &f, nil
+}
+
+// LoadBenchPoint reads the trajectory point at path. When path is a
+// directory it returns the newest of the BENCH_*.json points there — the
+// one with the largest created_unix, ties going to the later file name —
+// so a gate pointed at the committed trajectory compares against its
+// latest point, not whichever file name sorts first. The returned path
+// names the file read.
+func LoadBenchPoint(path string) (*BenchFile, string, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return nil, "", err
+	}
+	if !st.IsDir() {
+		f, err := ReadBenchFile(path)
+		return f, path, err
+	}
+	files, err := filepath.Glob(filepath.Join(path, "BENCH_*.json"))
+	if err != nil {
+		return nil, "", err
+	}
+	var newest *BenchFile
+	var newestPath string
+	for _, p := range files { // Glob sorts, so ties resolve deterministically
+		f, err := ReadBenchFile(p)
+		if err != nil {
+			return nil, "", err
+		}
+		if newest == nil || f.CreatedUnix >= newest.CreatedUnix {
+			newest, newestPath = f, p
+		}
+	}
+	if newest == nil {
+		return nil, "", fmt.Errorf("obs: no BENCH_*.json trajectory point in %s", path)
+	}
+	return newest, newestPath, nil
 }
 
 // MeasureScenario runs one scenario warmup+reps times and digests the

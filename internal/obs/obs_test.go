@@ -370,6 +370,50 @@ func TestCheckFailsOnTwoXSlowdown(t *testing.T) {
 	}
 }
 
+// Pointed at a trajectory directory, the gate must compare against the
+// newest point by created_unix, not the file name that sorts first: here
+// the first file is an older, 2x slower point, so a 2x regression of the
+// newest point would pass against it.
+func TestLoadBenchPointDirectoryPicksNewest(t *testing.T) {
+	dir := t.TempDir()
+	older := benchPoint([]string{"a"}, 200, []float64{196, 200, 207})
+	older.GitRev, older.CreatedUnix = "older", 1000
+	newest := benchPoint([]string{"a"}, 100, []float64{98, 100, 103})
+	newest.GitRev, newest.CreatedUnix = "newest", 2000
+	if err := WriteBenchFile(filepath.Join(dir, "BENCH_0aaa.json"), older); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBenchFile(filepath.Join(dir, "BENCH_ffff.json"), newest); err != nil {
+		t.Fatal(err)
+	}
+	got, path, err := LoadBenchPoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.GitRev != "newest" || filepath.Base(path) != "BENCH_ffff.json" {
+		t.Fatalf("picked %s (%s), want the newest point", got.GitRev, path)
+	}
+	regressed := benchPoint([]string{"a"}, 200, []float64{196, 200, 207})
+	deltas, err := Check(got, regressed, DefaultCheckOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(Regressions(deltas)) != 1 {
+		t.Fatalf("2x regression of the newest point passed the gate: %+v", deltas)
+	}
+	// Against the first-sorting file the same regression would pass.
+	deltas, err = Check(older, regressed, DefaultCheckOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(Regressions(deltas)) != 0 {
+		t.Fatalf("setup: the older point should not catch the regression: %+v", deltas)
+	}
+	if _, _, err := LoadBenchPoint(t.TempDir()); err == nil {
+		t.Fatal("empty directory accepted as a trajectory point")
+	}
+}
+
 func TestCheckNoiseFloorSavesJitteryScenario(t *testing.T) {
 	// Median ratio 1.3 exceeds tol 0.25, but both runs are so spread out
 	// that the delta sits inside 3x the combined MADs: not a regression.

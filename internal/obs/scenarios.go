@@ -135,6 +135,53 @@ func steadyAccessScenario() (Scenario, error) {
 	}, nil
 }
 
+// mapProScenario builds the allocation-path scenario: a fresh
+// IvLeague-Pro controller with one domain maps pages until they span
+// mapProTreeLings TreeLings, so every conversion the Invert/Pro top-down
+// fill makes consumes a slot in a domain that owns many TreeLings — the
+// case a whole-space NFL scan made quadratic. Work is counted in
+// OnPageMap calls.
+func mapProScenario() (Scenario, error) {
+	const (
+		mapProTreeLings = 32
+		basePFN         = 4096
+	)
+	cfg := config.Default()
+	fp, err := sweep.CellKey{
+		Kind: "perf", Scheme: config.SchemeIvLeaguePro.String(), Unit: "map-pro",
+		Extra: "ivperf-v1", Config: &cfg,
+	}.Fingerprint()
+	if err != nil {
+		return Scenario{}, err
+	}
+	// A full Pro TreeLing verifies a page in every leaf slot except the
+	// leaves under its τhot nodes.
+	perTL := int(cfg.TreeLingPages()) - cfg.IvLeague.HotRegionLeaves*cfg.SecureMem.TreeArity*cfg.SecureMem.TreeArity
+	pages := mapProTreeLings * perTL
+	return Scenario{
+		Name:        "secmem/map-pro",
+		Fingerprint: fp,
+		Run: func(_ *telemetry.PhaseTimers) (float64, error) {
+			ctl, err := secmem.New(&cfg, config.SchemeIvLeaguePro, 8)
+			if err != nil {
+				return 0, err
+			}
+			if err := ctl.CreateDomain(1); err != nil {
+				return 0, err
+			}
+			for i := 0; i < pages; i++ {
+				if _, err := ctl.OnPageMap(uint64(i), 1, layout.VPN(i), layout.PFN(basePFN+i)); err != nil {
+					return 0, fmt.Errorf("map-pro map %d: %w", i, err)
+				}
+			}
+			if n := len(ctl.IvLeague().TreeLingsOf(1)); n != mapProTreeLings {
+				return 0, fmt.Errorf("map-pro: %d pages span %d TreeLings, want %d", pages, n, mapProTreeLings)
+			}
+			return float64(pages), nil
+		},
+	}, nil
+}
+
 // fig22Scenario builds the analytical Monte-Carlo scenario (no
 // simulator involved — it tracks the analysis package's speed), work
 // counted in trials.
@@ -196,6 +243,11 @@ func Scenarios(quick bool) ([]Scenario, error) {
 		return nil, err
 	}
 	out = append(out, steady)
+	mapPro, err := mapProScenario()
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, mapPro)
 	f22, err := fig22Scenario()
 	if err != nil {
 		return nil, err
