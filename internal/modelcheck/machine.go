@@ -308,11 +308,15 @@ func (m *machine) tryFault() {
 }
 
 // checkInvariants asserts the two paper-level invariants on the current
-// state: metadata isolation (audit + ownership cross-check) and crash-
-// recovery byte equality. Returns the first violated invariant or nil.
+// state — metadata isolation (audit + ownership cross-check) and crash-
+// recovery byte equality — plus the NFL offer uniqueness the controller's
+// slot lookup relies on. Returns the first violated invariant or nil.
 func (m *machine) checkInvariants() *Violation {
 	if v := m.checkIsolation(); v != nil {
 		return v
+	}
+	if err := m.ctl.IvLeague().CheckNFLUnique(); err != nil {
+		return &Violation{Kind: ViolationNFL, Detail: err.Error(), Err: err}
 	}
 	return m.checkRecovery()
 }

@@ -162,6 +162,7 @@ const (
 	ViolationRecovery                           // recovered digest differs from live
 	ViolationIntegrity                          // a *tree.IntegrityError surfaced
 	ViolationInternal                           // any other unexpected error
+	ViolationNFL                                // one slot offered by two NFL entries of a domain
 )
 
 func (k ViolationKind) String() string {
@@ -174,6 +175,8 @@ func (k ViolationKind) String() string {
 		return "integrity"
 	case ViolationInternal:
 		return "internal"
+	case ViolationNFL:
+		return "nfl"
 	default:
 		return fmt.Sprintf("ViolationKind(%d)", int(k))
 	}
