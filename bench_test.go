@@ -43,7 +43,10 @@ func benchMix(b *testing.B, name string) workload.Mix {
 // run fails.
 func runMix(b *testing.B, cfg *config.Config, scheme config.Scheme, mix workload.Mix) sim.Result {
 	b.Helper()
-	res := sim.RunMix(cfg, scheme, mix)
+	res, err := sim.RunMix(cfg, scheme, mix)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if res.Failed && scheme != config.SchemeBVv1 {
 		b.Fatalf("%v on %s failed: %s", scheme, mix.Name, res.FailMsg)
 	}
@@ -123,7 +126,10 @@ func BenchmarkFig17aNFLAblation(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			failed := 0
 			for i := 0; i < b.N; i++ {
-				res := sim.RunMix(&cfg, s, mix)
+				res, err := sim.RunMix(&cfg, s, mix)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if res.Failed {
 					failed++
 				}
@@ -400,7 +406,10 @@ func BenchmarkPhaseTimerOverhead(b *testing.B) {
 				if mode.sample > 0 {
 					opts = append(opts, sim.WithPhaseTimers(telemetry.NewPhaseTimers(mode.sample)))
 				}
-				res := sim.RunMix(&cfg, config.SchemeIvLeaguePro, mix, opts...)
+				res, err := sim.RunMix(&cfg, config.SchemeIvLeaguePro, mix, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if res.Failed {
 					b.Fatal(res.FailMsg)
 				}

@@ -4,16 +4,17 @@
 // table3) to select a subset, and -full for longer, tighter runs.
 // Independent runs fan out across -j workers; tables are byte-identical
 // for every -j value. Any failed experiment is reported on stderr and the
-// process exits non-zero.
+// process exits non-zero. Every cell runs through one sweep engine:
+// -cell-timeout and -max-cell-failures bound and contain per-cell faults
+// (persistently failing cells render as "deg" instead of aborting the
+// sweep).
 //
 // With -cache-dir the harness becomes a crash-safe resumable sweep: every
 // simulation cell is fingerprinted and persisted to a content-addressed
 // cache the moment it completes, so a killed sweep rerun against the same
 // directory (-resume) re-simulates only the missing cells and emits
 // byte-identical tables. SIGINT/SIGTERM drains in-flight cells,
-// checkpoints the journal and exits with a resume hint; -cell-timeout and
-// -max-cell-failures bound and contain per-cell faults (persistently
-// failing cells render as "deg" instead of aborting the sweep).
+// checkpoints the journal and exits with a resume hint.
 package main
 
 import (
@@ -53,8 +54,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	cacheDir := flag.String("cache-dir", "", "persist every simulation cell to this content-addressed cache and skip cells already present (crash-safe resumable sweeps)")
 	resume := flag.Bool("resume", false, "with -cache-dir, resume a previous (possibly killed) sweep: requires an existing journal and reports prior progress")
-	cellTimeout := flag.Duration("cell-timeout", 0, "with -cache-dir, bound one cell's simulation (0 = unbounded); timed-out cells degrade instead of hanging the sweep")
-	maxCellFailures := flag.Int("max-cell-failures", 4, "with -cache-dir, tolerate this many persistently failing cells (rendered as \"deg\") before aborting; negative = unlimited")
+	cellTimeout := flag.Duration("cell-timeout", 0, "bound one cell's simulation (0 = unbounded); timed-out cells degrade instead of hanging the sweep")
+	maxCellFailures := flag.Int("max-cell-failures", 4, "tolerate this many persistently failing cells (rendered as \"deg\") before aborting; negative = unlimited")
 	httpAddr := flag.String("http", "", "serve live observability (/metrics, /progress, /healthz, /debug/pprof) on this address while the harness runs (e.g. :9090)")
 	flag.Parse()
 
@@ -133,18 +134,15 @@ func main() {
 		opts.Mixes = mixes
 	}
 
-	// The sweep engine: content-addressed result cache + journal + fault
-	// containment, interruptible by SIGINT/SIGTERM. Its metrics and the
-	// live server share one registry, so /metrics carries the sweep
-	// gauges whenever a cache is in use.
-	reg := telemetry.NewRegistry()
-	var engine *sweep.Engine
-	var metrics *sweep.Metrics
-	ctx := context.Background()
+	// The sweep engine every cell runs through: fault containment always,
+	// plus, with -cache-dir, the content-addressed result cache and
+	// journal, interruptible by SIGINT/SIGTERM. Its metrics and the live
+	// server share one registry, so /metrics carries the sweep gauges.
 	if *resume && *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "ivbench: -resume requires -cache-dir")
 		os.Exit(2)
 	}
+	ctx := context.Background()
 	if *cacheDir != "" {
 		if *resume {
 			sum, err := sweep.ReadJournal(filepath.Join(*cacheDir, sweep.JournalName))
@@ -158,23 +156,22 @@ func main() {
 		var stop context.CancelFunc
 		ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		metrics = &sweep.Metrics{}
-		metrics.Register(reg)
-		var err error
-		engine, err = sweep.NewEngine(sweep.EngineConfig{
-			Dir:             *cacheDir,
-			CellTimeout:     *cellTimeout,
-			MaxCellFailures: *maxCellFailures,
-			Ctx:             ctx,
-			Metrics:         metrics,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ivbench:", err)
-			os.Exit(2)
-		}
-		defer engine.Close()
-		opts.Sweep = engine
 	}
+	engine, err := sweep.NewEngine(sweep.EngineConfig{
+		Dir:             *cacheDir,
+		CellTimeout:     *cellTimeout,
+		MaxCellFailures: *maxCellFailures,
+		Ctx:             ctx,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ivbench:", err)
+		os.Exit(2)
+	}
+	defer engine.Close()
+	opts.Sweep = engine
+	metrics := engine.Metrics()
+	reg := telemetry.NewRegistry()
+	metrics.Register(reg)
 
 	// The live observability server: progress over every fan-out, the
 	// shared registry's metrics, and guarded pprof.
@@ -183,16 +180,10 @@ func main() {
 		prog = obs.NewProgress()
 		prog.Register(reg)
 		opts.Observer = prog
-		degraded := func() int64 {
-			if metrics == nil {
-				return -1
-			}
-			return int64(metrics.Degraded.Load())
-		}
 		srv, err := obs.StartServer(obs.ServerConfig{
 			Addr:     *httpAddr,
 			Snapshot: reg.Snapshot,
-			Progress: func() obs.ProgressReport { return prog.Report(degraded()) },
+			Progress: func() obs.ProgressReport { return prog.Report(int64(metrics.Degraded.Load())) },
 			Profiles: profGuard,
 		})
 		if err != nil {
@@ -226,7 +217,7 @@ func main() {
 		// An interrupted sweep is not a failure: the in-flight cells have
 		// drained, every completed cell is on disk, and the journal is
 		// checkpointed — say how to pick the sweep back up.
-		if engine != nil && engine.Interrupted() {
+		if engine.Interrupted() {
 			if cerr := engine.Checkpoint(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "ivbench: journal checkpoint:", cerr)
 			}
@@ -301,9 +292,7 @@ func main() {
 		show("Figure 20b: tree metadata cache size sensitivity", t, err)
 	}
 
-	if engine != nil {
-		fmt.Fprintf(os.Stderr, "ivbench: %s in %s\n", metrics.Summary(), time.Since(start).Round(time.Millisecond))
-	}
+	fmt.Fprintf(os.Stderr, "ivbench: %s in %s\n", metrics.Summary(), time.Since(start).Round(time.Millisecond))
 	if prog != nil {
 		r := prog.Report(-1)
 		fmt.Fprintf(os.Stderr, "ivbench: progress: %d/%d cells done, %d failed, cell latency p50/p99 %dms/%dms\n",

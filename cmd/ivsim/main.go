@@ -169,7 +169,11 @@ func main() {
 		}
 		fmt.Printf("trace: %d records -> %s\n", w.Count(), *traceOut)
 	default:
-		res = sim.RunMix(&cfg, scheme, mix, opts...)
+		var err error
+		if res, err = sim.RunMix(&cfg, scheme, mix, opts...); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	fmt.Printf("mix %s under %s (footprint %d MB, %d procs)\n",
 		mix.Name, scheme, mix.FootprintMB(), len(mix.Procs))

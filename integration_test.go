@@ -25,7 +25,10 @@ func TestVariableArityTree(t *testing.T) {
 	}
 	mix := benchMixT(t, "S-4")
 	for _, s := range []config.Scheme{config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro} {
-		res := sim.RunMix(&cfg, s, mix)
+		res, err := sim.RunMix(&cfg, s, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Failed {
 			t.Fatalf("%v with arity 4 failed: %s", s, res.FailMsg)
 		}
@@ -81,16 +84,16 @@ func TestFunctionalEndToEndUnderLoad(t *testing.T) {
 			}
 			buf := make([]byte, 64)
 			buf[0] = p.data
-			if _, err := mem.WriteData(0, p.dom, p.vpn, p.pfn, 0, buf); err != nil {
+			if _, err := mem.WriteBlock(secmem.AccessRequest{Domain: p.dom, VPN: layout.VPN(p.vpn), PFN: layout.PFN(p.pfn)}, buf); err != nil {
 				t.Fatal(err)
 			}
 			pages = append(pages, p)
 		}
 	}
 	mem.FlushMetadata()
+	got := make([]byte, config.BlockBytes)
 	for _, p := range pages {
-		got, _, err := mem.ReadData(0, p.dom, p.vpn, p.pfn, 0)
-		if err != nil {
+		if _, err := mem.ReadBlock(secmem.AccessRequest{Domain: p.dom, VPN: layout.VPN(p.vpn), PFN: layout.PFN(p.pfn)}, got); err != nil {
 			t.Fatalf("domain %d pfn %d: %v", p.dom, p.pfn, err)
 		}
 		if got[0] != p.data {

@@ -159,7 +159,7 @@ func (s *Store) Drop(pfn layout.PFN) {
 	ch := s.chunks[ci]
 	idx := int(pfn & ctrChunkMask)
 	if ch.live[idx>>6]&(1<<uint(idx&63)) != 0 {
-		ch.live[idx>>6] &^= 1 << uint(idx & 63)
+		ch.live[idx>>6] &^= 1 << uint(idx&63)
 		s.count--
 	}
 }

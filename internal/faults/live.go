@@ -18,9 +18,9 @@ import (
 // with Result.Tampered set.
 //
 // Only the metadata classes apply here: the timing path never exercises
-// the MAC'd data plane (that is the workbench's ReadData territory), so
+// the MAC'd data plane (that is the workbench's ReadBlock territory), so
 // data-bit/splice/MAC/rollback injections have nothing to corrupt on a
-// machine driven purely through Access.
+// machine driven purely through Do.
 
 // ApplyLive injects one fault of the class into a live functional
 // controller, picking a target deterministically from its current mapped

@@ -58,15 +58,15 @@ type Options struct {
 	// package's Progress tracker is the canonical one). Reporting only:
 	// callbacks never reach simulation state or an emitted table.
 	Observer CellObserver
-	// Sweep, when non-nil, routes every simulation cell through the
-	// crash-safe resumable sweep engine: results are answered from its
-	// content-addressed cache when fingerprints match, persisted to disk
-	// the moment they complete, and per-cell failures are contained
-	// within the engine's failure budget (rendered as "deg" table
-	// entries). Nil — the default — keeps the exact uncached path, and
-	// cells with armed injection or trace export always bypass the cache
-	// (see cellBypass). Cached and uncached sweeps emit byte-identical
-	// tables.
+	// Sweep is the engine every cell runs through. Its timeout, panic
+	// recovery and failure budget contain each cell; a failing cell
+	// within the budget renders as a "deg" table entry. An engine with a
+	// cache directory also answers cells from its content-addressed
+	// store and persists them the moment they complete. Cells with armed
+	// injection or trace export, and the Fig. 3 attack runs, skip the
+	// store. Nil attaches a dirless engine with no failure budget, so the
+	// first failing cell is an error. Cached and uncached sweeps emit
+	// byte-identical tables.
 	Sweep *sweep.Engine
 }
 
@@ -125,7 +125,9 @@ type RunSet struct {
 // the mix runs each fan out across Options.Parallelism workers — and
 // figures 15–19 are derived from this set without re-simulation.
 func Run(o Options) (*RunSet, error) {
-	o.lockProgress()
+	if err := o.begin(); err != nil {
+		return nil, err
+	}
 	rs := &RunSet{
 		Options: &o,
 		Results: make(map[string]map[config.Scheme]sim.Result),
@@ -273,7 +275,9 @@ func (rs *RunSet) Fig16() *stats.Table {
 // that leaked slots translate into starvation as they do at full scale;
 // BV-v1 runs that leak without yet starving are marked "→starves".
 func Fig17a(o Options) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.begin(); err != nil {
+		return nil, err
+	}
 	schemes := []config.Scheme{
 		config.SchemeBaseline, config.SchemeIvLeaguePro,
 		config.SchemeBVv1, config.SchemeBVv2,
@@ -467,7 +471,9 @@ func Fig20b(o Options) (*stats.Table, error) {
 // the three IvLeague schemes (every run fanned out in parallel) and report
 // per-point gmean IPC normalized to IvLeague-Basic at refPoint.
 func sensitivity(o *Options, tag, axis string, points []int, deriveCfg func(int, config.Config) config.Config, label func(int) string, refPoint int) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.begin(); err != nil {
+		return nil, err
+	}
 	schemes := []config.Scheme{config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro}
 	t := &stats.Table{Header: []string{axis, "Basic", "Invert", "Pro"}}
 	mixes := representativeMixes(o.Mixes)
@@ -584,7 +590,9 @@ type fig22Rates struct {
 // cached cell keyed by (point, trials, config), so a resumed grid only
 // recomputes missing points.
 func Fig22(o Options) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.begin(); err != nil {
+		return nil, err
+	}
 	t := &stats.Table{Header: []string{"util", "domains", "memGB", "static", "ivleague"}}
 	// The sorted order of the old serial sweep is exactly this grid order.
 	var pts []analysis.Fig22Point
@@ -605,7 +613,7 @@ func Fig22(o Options) (*stats.Table, error) {
 			Extra:  fmt.Sprintf("trials=%d", o.Trials),
 			Config: &o.Cfg,
 		}
-		rates, outcome, err := sweepCell(&o, key, func(context.Context) (fig22Rates, error) {
+		rates, outcome, err := sweepCell(&o, key, true, func(context.Context) (fig22Rates, error) {
 			seed := rng.ForkLabel(o.Cfg.Sim.Seed, pointLabel)
 			var r fig22Rates
 			r.Static, r.IvLeague = analysis.SuccessRates(analysis.ScalabilityConfig{
@@ -661,9 +669,12 @@ func Table3(cfg *config.Config) *stats.Table {
 }
 
 // Fig3 runs the side-channel demonstration across schemes, one attack per
-// worker.
+// worker. Attack cells run through the sweep engine's containment but
+// never its store; a degraded one renders as a row of "deg".
 func Fig3(o Options) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.begin(); err != nil {
+		return nil, err
+	}
 	t := &stats.Table{Header: []string{"scheme", "shared-nodes", "accuracy", "lat(bit=1)", "lat(bit=0)"}}
 	acfg := attack.DefaultConfig()
 	acfg.KeyBits = 1024
@@ -674,7 +685,13 @@ func Fig3(o Options) (*stats.Table, error) {
 		cfg := o.Cfg
 		cfg.DRAM.SizeBytes = 1 << 30
 		cfg.IvLeague.TreeLingCount = 128
-		res, err := attack.Run(&cfg, schemes[i], acfg)
+		key := sweep.CellKey{Kind: "fig3", Scheme: schemes[i].String(), Config: &cfg}
+		res, outcome, err := sweepCell(&o, key, false, func(context.Context) (*attack.Result, error) {
+			return attack.Run(&cfg, schemes[i], acfg)
+		})
+		if outcome == sweep.OutcomeDegraded {
+			return nil
+		}
 		if err != nil {
 			return fmt.Errorf("fig3 %v: %w", schemes[i], err)
 		}
@@ -687,6 +704,10 @@ func Fig3(o Options) (*stats.Table, error) {
 	}
 	for i, s := range schemes {
 		res := out[i]
+		if res == nil {
+			t.AddRow(s.String(), "deg", "deg", "deg", "deg")
+			continue
+		}
 		t.AddRow(s.String(), fmt.Sprintf("%v", res.SharedNodes),
 			fmt.Sprintf("%.1f%%", res.Accuracy*100),
 			fmt.Sprintf("%.0f", res.MeanLatencyHit), fmt.Sprintf("%.0f", res.MeanLatencyMiss))

@@ -51,6 +51,20 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
+// begin prepares an entry point's Options copy: it makes Progress safe
+// for concurrent use and, when the caller attached no sweep engine,
+// attaches a dirless one with no failure budget, so every cell still runs
+// contained and a library caller gets an error on the first failing cell.
+func (o *Options) begin() error {
+	o.lockProgress()
+	if o.Sweep != nil {
+		return nil
+	}
+	var err error
+	o.Sweep, err = sweep.NewEngine(sweep.EngineConfig{})
+	return err
+}
+
 // lockProgress makes o.Progress safe for concurrent use. Idempotent, so
 // figure entry points can call it unconditionally on their Options copy.
 func (o *Options) lockProgress() {
@@ -67,10 +81,8 @@ func (o *Options) lockProgress() {
 // Callers collect results by writing into index i of a preallocated slice,
 // which keeps output assembly deterministic no matter which worker
 // finishes first. Every index runs even if earlier ones fail; the errors
-// come back joined in index order (nil when all succeed). A panicking fn
-// is converted into that index's error instead of crashing the sweep —
-// the harness is a batch job that must degrade gracefully, not die at
-// point 37 of 80.
+// come back joined in index order (nil when all succeed). Panic
+// containment is the sweep engine's job (sweepCell), not the pool's.
 func (o *Options) forEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -91,7 +103,7 @@ func (o *Options) forEach(n int, fn func(i int) error) error {
 	cell := func(i int) {
 		//ivlint:allow determinism — per-cell wall-clock is progress reporting only, never reaches simulation state
 		start := time.Now()
-		errs[i] = runOne(fn, i)
+		errs[i] = fn(i)
 		k := done.Add(1)
 		//ivlint:allow determinism — per-cell wall-clock is progress reporting only, never reaches simulation state
 		dur := time.Since(start)
@@ -127,16 +139,6 @@ func (o *Options) forEach(n int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// runOne invokes fn(i), converting a panic into an error.
-func runOne(fn func(i int) error, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("figures: run %d panicked: %v", i, r)
-		}
-	}()
-	return fn(i)
-}
-
 // benchmarkNames returns every benchmark name in sorted order (the map
 // iteration order of workload.Benchmarks is not deterministic).
 func benchmarkNames() []string {
@@ -158,8 +160,8 @@ func aloneIPCs(o *Options) (map[string]float64, error) {
 		}
 		cfg := o.Cfg
 		key := sweep.CellKey{Kind: "alone", Scheme: config.SchemeBaseline.String(), Unit: names[i], Config: &cfg}
-		ipc, outcome, err := sweepCell(o, key, func(ctx context.Context) (float64, error) {
-			return runAlone(&cfg, p, ctx)
+		ipc, outcome, err := sweepCell(o, key, true, func(ctx context.Context) (float64, error) {
+			return sim.RunAlone(&cfg, config.SchemeBaseline, p, sim.WithContext(ctx))
 		})
 		if outcome == sweep.OutcomeDegraded {
 			return fmt.Errorf("figures: alone run %s is a required denominator: %w", names[i], err)
@@ -179,15 +181,6 @@ func aloneIPCs(o *Options) (map[string]float64, error) {
 		out[name] = vals[i]
 	}
 	return out, nil
-}
-
-// runAlone is sim.RunAlone with an optional cancellation context.
-func runAlone(cfg *config.Config, prof workload.Profile, ctx context.Context) (float64, error) {
-	var opts []sim.MachineOption
-	if ctx != nil {
-		opts = append(opts, sim.WithContext(ctx))
-	}
-	return sim.RunAlone(cfg, config.SchemeBaseline, prof, opts...)
 }
 
 // mixSchemeJob is one (mix, scheme) simulation of a fan-out.
@@ -229,33 +222,31 @@ func runMixSchemes(o *Options, jobs []mixSchemeJob, deriveCfg func(mixSchemeJob)
 	return out, nil
 }
 
-// mixCell runs one (mix, scheme) simulation, through the sweep cache when
-// one is attached. A contained per-cell failure (timeout, simulation
-// error within the failure budget) comes back as a synthetic degraded
-// Result, which the tables render as "deg" — the sweep keeps going.
+// mixCell runs one (mix, scheme) simulation through the sweep engine,
+// skipping its store when armed injection or trace export has effects a
+// stored result cannot reproduce. A contained per-cell failure (timeout,
+// simulation error within the failure budget) comes back as a synthetic
+// degraded Result, which the tables render as "deg" — the sweep keeps
+// going.
 func (o *Options) mixCell(tag string, cfg *config.Config, job mixSchemeJob) (sim.Result, error) {
 	key := sweep.CellKey{Kind: "mix", Extra: tag, Scheme: job.scheme.String(), Unit: job.mix.Name, Config: cfg}
-	res, outcome, err := sweepCell(o, key, func(ctx context.Context) (sim.Result, error) {
-		opts := o.Inject.MachineOptions()
-		if ctx != nil {
-			opts = append(opts, sim.WithContext(ctx))
-		}
+	cached := o.Inject == nil && o.TraceDir == ""
+	res, outcome, err := sweepCell(o, key, cached, func(ctx context.Context) (sim.Result, error) {
+		opts := append(o.Inject.MachineOptions(), sim.WithContext(ctx))
 		var tracer *telemetry.Tracer
 		if o.TraceDir != "" {
 			tracer = telemetry.NewTracer(0, o.TraceSample)
 			opts = append(opts, sim.WithTracer(tracer))
 		}
-		r, err := sim.RunMixErr(cfg, job.scheme, job.mix, opts...)
+		r, err := sim.RunMix(cfg, job.scheme, job.mix, opts...)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		if ctx != nil && r.Failed {
-			if cerr := ctx.Err(); cerr != nil {
-				// The failure is (or is masked by) the cell's cancellation:
-				// surface it as an error so the engine never caches a
-				// timed-out run as a measured outcome.
-				return sim.Result{}, fmt.Errorf("%s: %w", r.FailMsg, cerr)
-			}
+		if cerr := ctx.Err(); r.Failed && cerr != nil {
+			// The failure is (or is masked by) the cell's cancellation:
+			// surface it as an error so the engine never caches a
+			// timed-out run as a measured outcome.
+			return sim.Result{}, fmt.Errorf("%s: %w", r.FailMsg, cerr)
 		}
 		if tracer != nil {
 			if err := writeTraceFile(o.TraceDir, tag, job, tracer); err != nil {
@@ -270,34 +261,33 @@ func (o *Options) mixCell(tag string, cfg *config.Config, job mixSchemeJob) (sim
 	return res, err
 }
 
-// cellBypass reports whether simulation cells must skip the sweep cache:
-// armed fault injection and per-run trace export have effects a cached
-// result cannot reproduce, so those runs always simulate (the exact
-// pre-cache path).
-func (o *Options) cellBypass() bool {
-	return o.Sweep == nil || o.Inject != nil || o.TraceDir != ""
-}
-
-// sweepCell routes one cell through Options.Sweep: cache hit, fresh run
-// (persisted immediately), degraded containment, or fatal abort. With no
-// engine attached (or under cellBypass) it runs the body directly with a
-// nil context — the exact uncached code path.
-func sweepCell[T any](o *Options, key sweep.CellKey, run func(ctx context.Context) (T, error)) (T, sweep.Outcome, error) {
-	var v T
-	if o.cellBypass() {
-		var err error
-		v, err = run(nil)
-		return v, sweep.OutcomeRan, err
-	}
-	outcome, err := o.Sweep.Cell(key, &v, func(ctx context.Context) error {
+// sweepCell runs one cell through Options.Sweep, the only place a cell
+// body runs: with cached set it goes through the engine's store (cache
+// hit, or a fresh run persisted immediately), otherwise straight through
+// the engine's containment. Either way the outcome is a result, degraded
+// containment, or fatal abort.
+func sweepCell[T any](o *Options, key sweep.CellKey, cached bool, run func(ctx context.Context) (T, error)) (T, sweep.Outcome, error) {
+	var v, zero T
+	body := func(ctx context.Context) error {
 		r, err := run(ctx)
 		if err != nil {
 			return err
 		}
 		v = r
 		return nil
-	})
-	return v, outcome, err
+	}
+	var outcome sweep.Outcome
+	var err error
+	if cached {
+		outcome, err = o.Sweep.Cell(key, &v, body)
+	} else {
+		outcome, err = o.Sweep.Run(key, body)
+	}
+	if err != nil {
+		// A body abandoned after its timeout may still write v.
+		return zero, outcome, err
+	}
+	return v, outcome, nil
 }
 
 // writeTraceFile exports one run's events as Chrome trace-event JSON into

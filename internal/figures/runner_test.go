@@ -2,13 +2,16 @@ package figures
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"ivleague/internal/config"
 	"ivleague/internal/sim"
+	"ivleague/internal/sweep"
 )
 
 func TestForEachCoversEveryIndex(t *testing.T) {
@@ -53,16 +56,18 @@ func TestForEachJoinsErrorsInIndexOrder(t *testing.T) {
 	}
 }
 
-func TestForEachRecoversPanics(t *testing.T) {
-	o := &Options{Parallelism: 3}
-	err := o.forEach(5, func(i int) error {
-		if i == 3 {
-			panic("figure bug")
+// TestSweepCellContainsPanics: a panicking cell body comes back from
+// sweepCell as an error, through the store or straight through the
+// engine's containment — the engine is the harness's only recover.
+func TestSweepCellContainsPanics(t *testing.T) {
+	o := &Options{Sweep: newSweepEngine(t, t.TempDir())}
+	cfg := config.Default()
+	key := sweep.CellKey{Kind: "test", Config: &cfg}
+	for _, cached := range []bool{true, false} {
+		_, _, err := sweepCell(o, key, cached, func(context.Context) (int, error) { panic("figure bug") })
+		if err == nil || !strings.Contains(err.Error(), "figure bug") {
+			t.Fatalf("cached=%v: panic not converted to error: %v", cached, err)
 		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "figure bug") {
-		t.Fatalf("panic not converted to error: %v", err)
 	}
 }
 
@@ -109,6 +114,42 @@ func TestRunReturnsErrorInsteadOfPanicking(t *testing.T) {
 	o.Cfg.Core.Count = 0 // every machine build fails
 	if _, err := Run(o); err == nil {
 		t.Fatal("Run with an impossible config did not return an error")
+	}
+}
+
+// TestUncachedFailingCellsRenderAsDeg: with two cores every alone run
+// builds but no four-process mix machine does. A dirless engine with an
+// unlimited budget renders those cells as "deg", with or without the
+// store-skipping trace path; with no engine attached, Run fails instead.
+func TestUncachedFailingCellsRenderAsDeg(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	o := tinyOptions(t, "S-1")
+	o.Cfg.Core.Count = 2
+	if _, err := Run(o); err == nil {
+		t.Fatal("Run with no engine attached tolerated a failing mix cell")
+	}
+	for _, traceDir := range []string{"", t.TempDir()} {
+		e, err := sweep.NewEngine(sweep.EngineConfig{MaxCellFailures: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Sweep, o.TraceDir = e, traceDir
+		rs, err := Run(o)
+		if err != nil {
+			t.Fatalf("trace=%q: %v", traceDir, err)
+		}
+		if got, want := int(e.Metrics().Degraded.Load()), len(o.Schemes); got != want {
+			t.Fatalf("trace=%q: degraded %d cells, want %d", traceDir, got, want)
+		}
+		f15, err := rs.Fig15()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(f15.String(), "deg") {
+			t.Fatalf("trace=%q: Fig15 does not render failing cells as deg:\n%s", traceDir, f15)
+		}
 	}
 }
 

@@ -49,7 +49,10 @@ func simScenario(scheme config.Scheme, mixName string) (Scenario, error) {
 			if pt != nil {
 				opts = append(opts, sim.WithPhaseTimers(pt))
 			}
-			res := sim.RunMix(&cfg, scheme, mix, opts...)
+			res, err := sim.RunMix(&cfg, scheme, mix, opts...)
+			if err != nil {
+				return 0, err
+			}
 			if res.Failed {
 				return 0, fmt.Errorf("%s on %s failed: %s", scheme, mixName, res.FailMsg)
 			}

@@ -245,23 +245,6 @@ func (c *Controller) Do(req AccessRequest) (AccessResult, error) {
 	return AccessResult{Latency: rlat}, err
 }
 
-// Access is the positional form of Do.
-//
-// Deprecated: use Do with an AccessRequest; the typed request makes
-// vpn/pfn transpositions a compile error and carries future fields without
-// signature churn.
-func (c *Controller) Access(now uint64, domain int, vpn, pfn uint64, block int, write bool) (int, error) {
-	res, err := c.Do(AccessRequest{
-		Now:    now,
-		Domain: domain,
-		VPN:    layout.VPN(vpn),
-		PFN:    layout.PFN(pfn),
-		Block:  block,
-		Write:  write,
-	})
-	return res.Latency, err
-}
-
 // secureRead: fetch data and counter in parallel, verify the counter
 // through the tree when it misses on-chip, then MAC-check.
 func (c *Controller) secureRead(now uint64, domain int, vpn layout.VPN, pfn layout.PFN, dataAddr uint64, slot core.SlotID, lat int, lmmMiss bool) (int, error) {

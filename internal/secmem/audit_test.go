@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/layout"
 	"ivleague/internal/telemetry"
 )
 
@@ -11,8 +12,8 @@ import (
 // performs the verification walk the audit observes.
 func access(t *testing.T, c *Controller, domain int, vpn, pfn uint64) {
 	t.Helper()
-	if _, err := c.Access(0, domain, vpn, pfn, 0, false); err != nil {
-		t.Fatalf("Access: %v", err)
+	if _, err := c.Do(AccessRequest{Domain: domain, VPN: layout.VPN(vpn), PFN: layout.PFN(pfn)}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
 }
 

@@ -207,32 +207,6 @@ func (c *Controller) ReadBlock(req AccessRequest, dst []byte) (AccessResult, err
 	return res, nil
 }
 
-// WriteData is the positional form of WriteBlock.
-//
-// Deprecated: use WriteBlock with an AccessRequest.
-func (c *Controller) WriteData(now uint64, domain int, vpn, pfn uint64, block int, plain []byte) (int, error) {
-	res, err := c.WriteBlock(AccessRequest{
-		Now: now, Domain: domain, VPN: layout.VPN(vpn), PFN: layout.PFN(pfn), Block: block,
-	}, plain)
-	return res.Latency, err
-}
-
-// ReadData is the positional form of ReadBlock; it allocates the returned
-// plaintext buffer.
-//
-// Deprecated: use ReadBlock with an AccessRequest and a caller-owned
-// buffer.
-func (c *Controller) ReadData(now uint64, domain int, vpn, pfn uint64, block int) ([]byte, int, error) {
-	dst := make([]byte, config.BlockBytes)
-	res, err := c.ReadBlock(AccessRequest{
-		Now: now, Domain: domain, VPN: layout.VPN(vpn), PFN: layout.PFN(pfn), Block: block,
-	}, dst)
-	if err != nil {
-		return nil, 0, err
-	}
-	return dst, res.Latency, nil
-}
-
 // CorruptData flips a byte of a block's off-chip ciphertext (a physical
 // data-tampering attack); the next ReadBlock fails its MAC check.
 func (c *Controller) CorruptData(pfn layout.PFN, block int) error {

@@ -33,14 +33,14 @@ func TestDomainLifecycleRecyclesSafely(t *testing.T) {
 			}
 			buf := make([]byte, 64)
 			buf[0] = byte(gen)
-			if _, err := c.WriteData(0, dom, p, pfn, 0, buf); err != nil {
+			if _, err := c.WriteBlock(AccessRequest{Domain: dom, VPN: layout.VPN(p), PFN: layout.PFN(pfn)}, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c.FlushMetadata()
 		for p := uint64(0); p < 50; p++ {
 			pfn := uint64(gen*50) + p
-			got, _, err := c.ReadData(0, dom, p, pfn, 0)
+			got, err := readBlock(c, AccessRequest{Domain: dom, VPN: layout.VPN(p), PFN: layout.PFN(pfn)})
 			if err != nil {
 				t.Fatalf("gen %d page %d: %v", gen, p, err)
 			}
@@ -71,7 +71,7 @@ func TestRecycledTreeLingHasCleanState(t *testing.T) {
 	if _, err := c.OnPageMap(0, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	c.WriteData(0, 1, 0, 0, 0, make([]byte, 64))
+	c.WriteBlock(AccessRequest{Domain: 1}, make([]byte, 64))
 	slot1, _ := c.SlotOf(0)
 	tl := slot1.TreeLing()
 	c.OnPageUnmap(0, 1, 0, 0)
@@ -92,7 +92,7 @@ func TestRecycledTreeLingHasCleanState(t *testing.T) {
 		t.Skipf("FIFO handed a different TreeLing (%d), recycling covered elsewhere", slot2.TreeLing())
 	}
 	c.FlushMetadata()
-	if _, err := c.Access(0, 2, 9, 9, 0, false); err != nil {
+	if _, err := c.Do(AccessRequest{Domain: 2, VPN: 9, PFN: 9}); err != nil {
 		t.Fatalf("fresh domain failed verification on recycled TreeLing: %v", err)
 	}
 }
@@ -110,11 +110,11 @@ func TestDynamicRootLockRuns(t *testing.T) {
 	if _, err := c.OnPageMap(0, 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WriteData(0, 1, 1, 1, 0, make([]byte, 64)); err != nil {
+	if _, err := c.WriteBlock(AccessRequest{Domain: 1, VPN: 1, PFN: 1}, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
 	c.FlushMetadata()
-	if _, _, err := c.ReadData(0, 1, 1, 1, 0); err != nil {
+	if _, err := readBlock(c, AccessRequest{Domain: 1, VPN: 1, PFN: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,7 +141,7 @@ func TestRemapReadsAsNeverWritten(t *testing.T) {
 	for i := range buf {
 		buf[i] = 0xA5
 	}
-	if _, err := c.WriteData(0, dom, vpn, pfn, 0, buf); err != nil {
+	if _, err := c.WriteBlock(AccessRequest{Domain: dom, VPN: layout.VPN(vpn), PFN: layout.PFN(pfn)}, buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.OnPageUnmap(0, dom, vpn, pfn); err != nil {
@@ -151,7 +151,7 @@ func TestRemapReadsAsNeverWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.FlushMetadata()
-	got, _, err := c.ReadData(0, dom, vpn, pfn, 0)
+	got, err := readBlock(c, AccessRequest{Domain: dom, VPN: layout.VPN(vpn), PFN: layout.PFN(pfn)})
 	if err != nil {
 		t.Fatalf("read after remap: %v", err)
 	}

@@ -47,6 +47,13 @@ func mapPage(t *testing.T, c *Controller, domain int, vpn, pfn uint64) {
 	}
 }
 
+// readBlock is ReadBlock into a fresh buffer.
+func readBlock(c *Controller, req AccessRequest) ([]byte, error) {
+	dst := make([]byte, config.BlockBytes)
+	_, err := c.ReadBlock(req, dst)
+	return dst, err
+}
+
 func TestReadWriteRoundTripAllSchemes(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -57,10 +64,10 @@ func TestReadWriteRoundTripAllSchemes(t *testing.T) {
 			mapPage(t, c, 1, 100, 100)
 			msg := make([]byte, 64)
 			copy(msg, []byte("attack at dawn"))
-			if _, err := c.WriteData(1, 1, 100, 100, 3, msg); err != nil {
+			if _, err := c.WriteBlock(AccessRequest{Now: 1, Domain: 1, VPN: 100, PFN: 100, Block: 3}, msg); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := c.ReadData(2, 1, 100, 100, 3)
+			got, err := readBlock(c, AccessRequest{Now: 2, Domain: 1, VPN: 100, PFN: 100, Block: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +75,7 @@ func TestReadWriteRoundTripAllSchemes(t *testing.T) {
 				t.Fatalf("round trip corrupted: %q", got[:14])
 			}
 			// Unwritten block reads as zeros.
-			z, _, err := c.ReadData(3, 1, 100, 100, 4)
+			z, err := readBlock(c, AccessRequest{Now: 3, Domain: 1, VPN: 100, PFN: 100, Block: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,11 +93,11 @@ func TestTamperDetectionViaMAC(t *testing.T) {
 		c := newCtl(t, scheme, true)
 		c.CreateDomain(1)
 		mapPage(t, c, 1, 5, 5)
-		c.WriteData(1, 1, 5, 5, 0, make([]byte, 64))
+		c.WriteBlock(AccessRequest{Now: 1, Domain: 1, VPN: 5, PFN: 5}, make([]byte, 64))
 		if err := c.CorruptData(5, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.ReadData(2, 1, 5, 5, 0); !errors.Is(err, ErrMACMismatch) {
+		if _, err := readBlock(c, AccessRequest{Now: 2, Domain: 1, VPN: 5, PFN: 5}); !errors.Is(err, ErrMACMismatch) {
 			t.Fatalf("%v: corrupted data read returned %v", scheme, err)
 		}
 	}
@@ -103,18 +110,18 @@ func TestReplayDetectionViaTree(t *testing.T) {
 		mapPage(t, c, 1, 7, 7)
 		old := make([]byte, 64)
 		copy(old, []byte("balance=1000000"))
-		c.WriteData(1, 1, 7, 7, 2, old)
+		c.WriteBlock(AccessRequest{Now: 1, Domain: 1, VPN: 7, PFN: 7, Block: 2}, old)
 		snap, err := c.SnapshotBlock(7, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh := make([]byte, 64)
 		copy(fresh, []byte("balance=0"))
-		c.WriteData(2, 1, 7, 7, 2, fresh)
+		c.WriteBlock(AccessRequest{Now: 2, Domain: 1, VPN: 7, PFN: 7, Block: 2}, fresh)
 		// Replay the stale triple and force re-verification from memory.
 		c.ReplayBlock(snap)
 		c.FlushMetadata()
-		if _, _, err := c.ReadData(3, 1, 7, 7, 2); err == nil {
+		if _, err := readBlock(c, AccessRequest{Now: 3, Domain: 1, VPN: 7, PFN: 7, Block: 2}); err == nil {
 			t.Fatalf("%v: replayed block verified — freshness broken", scheme)
 		}
 		if c.TamperEvents.Value() == 0 {
@@ -128,11 +135,11 @@ func TestVerificationWalkStopsAtCachedNode(t *testing.T) {
 	c.CreateDomain(1)
 	mapPage(t, c, 1, 9, 9)
 	// First read: cold caches → some path read from memory.
-	c.Access(0, 1, 9, 9, 0, false)
+	c.Do(AccessRequest{Domain: 1, VPN: 9, PFN: 9})
 	before := c.Verifications.Value()
 	accBefore := c.DRAM().Reads.Value()
 	// Second read: counter cached → no verification at all.
-	c.Access(100, 1, 9, 9, 0, false)
+	c.Do(AccessRequest{Now: 100, Domain: 1, VPN: 9, PFN: 9})
 	if c.Verifications.Value() != before {
 		t.Fatal("cached counter still triggered verification")
 	}
@@ -155,11 +162,11 @@ func TestPathLengthShorterForIvLeagueSmallFootprint(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			c.FlushMetadata()
 			for p := uint64(0); p < 64; p++ {
-				lat, err := c.Access(now, 1, p, p, 0, false)
+				res, err := c.Do(AccessRequest{Now: now, Domain: 1, VPN: layout.VPN(p), PFN: layout.PFN(p)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				now += uint64(lat)
+				now += uint64(res.Latency)
 			}
 		}
 		return c.PathLen[1].Mean()
@@ -276,7 +283,7 @@ func TestUnmapReleasesSlot(t *testing.T) {
 func TestAccessUnmappedPageFails(t *testing.T) {
 	c := newCtl(t, config.SchemeIvLeagueBasic, false)
 	c.CreateDomain(1)
-	if _, err := c.Access(0, 1, 99, 99, 0, false); err == nil {
+	if _, err := c.Do(AccessRequest{Domain: 1, VPN: 99, PFN: 99}); err == nil {
 		t.Fatal("access to unmapped page succeeded")
 	}
 }
@@ -292,11 +299,11 @@ func TestProMigrationUpdatesLMMTruth(t *testing.T) {
 	mapPage(t, c, 1, 8, 8)
 	now := uint64(0)
 	for i := 0; i < 12; i++ {
-		lat, err := c.Access(now, 1, 8, 8, 0, false)
+		res, err := c.Do(AccessRequest{Now: now, Domain: 1, VPN: 8, PFN: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		now += uint64(lat)
+		now += uint64(res.Latency)
 	}
 	slot, _ := c.SlotOf(8)
 	if !c.IvLeague().IsHotSlot(slot) {
@@ -315,7 +322,7 @@ func TestInvertFunctionalAcrossConversions(t *testing.T) {
 		mapPage(t, c, 1, p, p)
 		buf := make([]byte, 64)
 		buf[0] = byte(p)
-		if _, err := c.WriteData(p, 1, p, p, 0, buf); err != nil {
+		if _, err := c.WriteBlock(AccessRequest{Now: p, Domain: 1, VPN: layout.VPN(p), PFN: layout.PFN(p)}, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,7 +331,7 @@ func TestInvertFunctionalAcrossConversions(t *testing.T) {
 	}
 	c.FlushMetadata()
 	for p := uint64(0); p < pages; p++ {
-		got, _, err := c.ReadData(1000+p, 1, p, p, 0)
+		got, err := readBlock(c, AccessRequest{Now: 1000 + p, Domain: 1, VPN: layout.VPN(p), PFN: layout.PFN(p)})
 		if err != nil {
 			t.Fatalf("page %d: %v", p, err)
 		}
@@ -346,14 +353,14 @@ func TestWriteIncrementsCounterAndOverflowReencrypts(t *testing.T) {
 	buf := make([]byte, 64)
 	for i := 0; i < 10; i++ {
 		buf[0] = byte(i)
-		if _, err := c.WriteData(uint64(i), 1, 2, 2, 0, buf); err != nil {
+		if _, err := c.WriteBlock(AccessRequest{Now: uint64(i), Domain: 1, VPN: 2, PFN: 2}, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.Overflows.Value() == 0 {
 		t.Fatal("no overflow with 2-bit minors and 10 writes")
 	}
-	got, _, err := c.ReadData(100, 1, 2, 2, 0)
+	got, err := readBlock(c, AccessRequest{Now: 100, Domain: 1, VPN: 2, PFN: 2})
 	if err != nil || got[0] != 9 {
 		t.Fatalf("read after overflow: %v %v", got[0], err)
 	}
@@ -363,7 +370,7 @@ func TestEvictMetadataPrimitive(t *testing.T) {
 	c := newCtl(t, config.SchemeBaseline, false)
 	c.CreateDomain(1)
 	mapPage(t, c, 1, 4, 4)
-	c.Access(0, 1, 4, 4, 0, false) // loads tree nodes
+	c.Do(AccessRequest{Domain: 1, VPN: 4, PFN: 4}) // loads tree nodes
 	lay := c.Layout()
 	addr, err := lay.GlobalNodeAddr(1, lay.GlobalNodeIndex(4, 1))
 	if err != nil {
@@ -381,13 +388,13 @@ func TestResetStats(t *testing.T) {
 	c := newCtl(t, config.SchemeIvLeagueBasic, false)
 	c.CreateDomain(1)
 	mapPage(t, c, 1, 1, 1)
-	c.Access(0, 1, 1, 1, 0, false)
+	c.Do(AccessRequest{Domain: 1, VPN: 1, PFN: 1})
 	c.ResetStats()
 	if c.DataReads.Value() != 0 || c.MemAccesses() != 0 || len(c.PathLen) != 0 {
 		t.Fatal("stats not reset")
 	}
 	// State survives: the page still reads fine.
-	if _, err := c.Access(10, 1, 1, 1, 0, false); err != nil {
+	if _, err := c.Do(AccessRequest{Now: 10, Domain: 1, VPN: 1, PFN: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -472,10 +479,10 @@ func TestResetStatsEquivalentToFresh(t *testing.T) {
 				for v := uint64(0); v < 6; v++ {
 					pfn := uint64(lo) + uint64(dom-1) + 2*v // disjoint across domains
 					mapPage(t, c, dom, v, pfn)
-					if _, err := c.Access(v, dom, v, pfn, 0, true); err != nil {
+					if _, err := c.Do(AccessRequest{Now: v, Domain: dom, VPN: layout.VPN(v), PFN: layout.PFN(pfn), Write: true}); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := c.Access(v+100, dom, v, pfn, 0, false); err != nil {
+					if _, err := c.Do(AccessRequest{Now: v + 100, Domain: dom, VPN: layout.VPN(v), PFN: layout.PFN(pfn)}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -483,7 +490,7 @@ func TestResetStatsEquivalentToFresh(t *testing.T) {
 			c.FlushMetadata() // force re-verification traffic on the next reads
 			for dom := 1; dom <= 2; dom++ {
 				lo, _ := c.PartitionRange(dom)
-				if _, err := c.Access(500, dom, 0, uint64(lo)+uint64(dom-1), 0, false); err != nil {
+				if _, err := c.Do(AccessRequest{Now: 500, Domain: dom, PFN: lo + layout.PFN(dom-1)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -23,13 +23,13 @@ func TestPhaseTimersDoNotChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := RunMix(&cfg, config.SchemeIvLeaguePro, mix)
+	base := runMix(t, &cfg, config.SchemeIvLeaguePro, mix)
 	if base.Failed {
 		t.Fatalf("baseline run failed: %s", base.FailMsg)
 	}
 	for _, sample := range []int{64, 1} {
 		pt := telemetry.NewPhaseTimers(sample)
-		res := RunMix(&cfg, config.SchemeIvLeaguePro, mix, WithPhaseTimers(pt))
+		res := runMix(t, &cfg, config.SchemeIvLeaguePro, mix, WithPhaseTimers(pt))
 		if res.Failed {
 			t.Fatalf("timed run (sample %d) failed: %s", sample, res.FailMsg)
 		}

@@ -774,22 +774,11 @@ func (m *Machine) resetStats() {
 }
 
 // RunMix is the one-call entry: build a machine for (cfg, scheme, mix) and
-// run it. Machine-construction errors are folded into a failed Result; use
-// RunMixErr to distinguish them from in-run scheme failures.
-func RunMix(cfg *config.Config, scheme config.Scheme, mix workload.Mix, opts ...MachineOption) Result {
-	res, err := RunMixErr(cfg, scheme, mix, opts...)
-	if err != nil {
-		return Result{Scheme: scheme, Failed: true, FailMsg: err.Error()}
-	}
-	return res
-}
-
-// RunMixErr builds and runs a machine for (cfg, scheme, mix), returning
-// machine-construction errors (invalid config, too few cores) as errors.
-// A Result with Failed set is not an error: scheme failures mid-run
-// (TreeLing starvation under BV-v1, OOM) are measured outcomes that
-// Figure 17a reports as "x".
-func RunMixErr(cfg *config.Config, scheme config.Scheme, mix workload.Mix, opts ...MachineOption) (Result, error) {
+// run it, returning machine-construction errors (invalid config, too few
+// cores) as errors. A Result with Failed set is not an error: scheme
+// failures mid-run (TreeLing starvation under BV-v1, OOM) are measured
+// outcomes that Figure 17a reports as "x".
+func RunMix(cfg *config.Config, scheme config.Scheme, mix workload.Mix, opts ...MachineOption) (Result, error) {
 	m, err := NewMachine(cfg, scheme, mix, 0, opts...)
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: mix %s under %v: %w", mix.Name, scheme, err)

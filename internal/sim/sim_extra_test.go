@@ -10,7 +10,7 @@ import (
 
 func TestStaticPartitionRuns(t *testing.T) {
 	cfg := quickCfg()
-	res := RunMix(&cfg, config.SchemeStaticPartition, smallMix(t))
+	res := runMix(t, &cfg, config.SchemeStaticPartition, smallMix(t))
 	if res.Failed {
 		t.Fatalf("static partition run failed: %s", res.FailMsg)
 	}
@@ -49,7 +49,7 @@ func TestBVSchemesRun(t *testing.T) {
 	cfg := quickCfg()
 	mix := smallMix(t)
 	for _, s := range []config.Scheme{config.SchemeBVv1, config.SchemeBVv2} {
-		res := RunMix(&cfg, s, mix)
+		res := runMix(t, &cfg, s, mix)
 		if res.Failed {
 			t.Fatalf("%v failed at small scale: %s", s, res.FailMsg)
 		}
@@ -66,8 +66,8 @@ func TestBVv2SlowerThanNFL(t *testing.T) {
 		}
 		return s
 	}
-	nfl := RunMix(&cfg, config.SchemeIvLeagueBasic, mix)
-	bv := RunMix(&cfg, config.SchemeBVv2, mix)
+	nfl := runMix(t, &cfg, config.SchemeIvLeagueBasic, mix)
+	bv := runMix(t, &cfg, config.SchemeBVv2, mix)
 	if bv.Failed || nfl.Failed {
 		t.Fatal("run failed")
 	}
@@ -88,8 +88,8 @@ func TestSchemeOverheadShape(t *testing.T) {
 		}
 		return s
 	}
-	base := sum(RunMix(&cfg, config.SchemeBaseline, mix))
-	basic := sum(RunMix(&cfg, config.SchemeIvLeagueBasic, mix))
+	base := sum(runMix(t, &cfg, config.SchemeBaseline, mix))
+	basic := sum(runMix(t, &cfg, config.SchemeIvLeagueBasic, mix))
 	norm := basic / base
 	if norm < 0.75 || norm > 1.05 {
 		t.Fatalf("IvLeague-Basic normalized IPC %.3f outside the plausible band", norm)
@@ -101,8 +101,8 @@ func TestMemAccessesExceedBaseline(t *testing.T) {
 	// memory accesses as the Baseline (NFL + LMM + tree expansion).
 	cfg := quickCfg()
 	mix := smallMix(t)
-	base := RunMix(&cfg, config.SchemeBaseline, mix)
-	basic := RunMix(&cfg, config.SchemeIvLeagueBasic, mix)
+	base := runMix(t, &cfg, config.SchemeBaseline, mix)
+	basic := runMix(t, &cfg, config.SchemeIvLeagueBasic, mix)
 	if basic.MemAccesses <= base.MemAccesses {
 		t.Fatalf("IvLeague accesses %d not above baseline %d", basic.MemAccesses, base.MemAccesses)
 	}

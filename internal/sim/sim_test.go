@@ -26,6 +26,16 @@ func smallMix(t *testing.T) workload.Mix {
 	return m
 }
 
+// runMix is RunMix for tests whose machines must build.
+func runMix(t *testing.T, cfg *config.Config, scheme config.Scheme, mix workload.Mix, opts ...MachineOption) Result {
+	t.Helper()
+	res, err := RunMix(cfg, scheme, mix, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunAllSchemesProduceIPC(t *testing.T) {
 	cfg := quickCfg()
 	mix := smallMix(t)
@@ -33,7 +43,7 @@ func TestRunAllSchemesProduceIPC(t *testing.T) {
 		config.SchemeBaseline, config.SchemeStaticPartition,
 		config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro,
 	} {
-		res := RunMix(&cfg, scheme, mix)
+		res := runMix(t, &cfg, scheme, mix)
 		if res.Failed {
 			t.Fatalf("%v failed: %s", scheme, res.FailMsg)
 		}
@@ -54,8 +64,8 @@ func TestRunAllSchemesProduceIPC(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := quickCfg()
 	mix := smallMix(t)
-	a := RunMix(&cfg, config.SchemeIvLeaguePro, mix)
-	b := RunMix(&cfg, config.SchemeIvLeaguePro, mix)
+	a := runMix(t, &cfg, config.SchemeIvLeaguePro, mix)
+	b := runMix(t, &cfg, config.SchemeIvLeaguePro, mix)
 	for i := range a.IPC {
 		if a.IPC[i] != b.IPC[i] {
 			t.Fatalf("nondeterministic IPC at thread %d: %v vs %v", i, a.IPC[i], b.IPC[i])
@@ -68,7 +78,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestIvLeagueStatsPopulated(t *testing.T) {
 	cfg := quickCfg()
-	res := RunMix(&cfg, config.SchemeIvLeagueBasic, smallMix(t))
+	res := runMix(t, &cfg, config.SchemeIvLeagueBasic, smallMix(t))
 	if res.Failed {
 		t.Fatal(res.FailMsg)
 	}
@@ -88,7 +98,7 @@ func TestIvLeagueStatsPopulated(t *testing.T) {
 
 func TestBaselineHasNoIvLeagueStats(t *testing.T) {
 	cfg := quickCfg()
-	res := RunMix(&cfg, config.SchemeBaseline, smallMix(t))
+	res := runMix(t, &cfg, config.SchemeBaseline, smallMix(t))
 	if res.NFLBHitRate != 0 || res.Utilization != 0 {
 		t.Fatal("baseline reported IvLeague stats")
 	}
@@ -141,10 +151,10 @@ func TestChurnExercisesFreePaths(t *testing.T) {
 	}
 }
 
-func TestRunMixErrRejectsImpossibleConfig(t *testing.T) {
+func TestRunMixRejectsImpossibleConfig(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Core.Count = 0
-	if _, err := RunMixErr(&cfg, config.SchemeBaseline, smallMix(t)); err == nil {
+	if _, err := RunMix(&cfg, config.SchemeBaseline, smallMix(t)); err == nil {
 		t.Fatal("machine construction with zero cores did not error")
 	}
 }
@@ -166,7 +176,7 @@ func TestUnmapShootsDownSiblingTLBs(t *testing.T) {
 	for _, scheme := range []config.Scheme{
 		config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro,
 	} {
-		if res := RunMix(&cfg, scheme, mix); res.Failed {
+		if res := runMix(t, &cfg, scheme, mix); res.Failed {
 			t.Errorf("%v: %s", scheme, res.FailMsg)
 		}
 	}

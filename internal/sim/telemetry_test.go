@@ -178,7 +178,7 @@ func TestIsolationAuditAcrossSchemes(t *testing.T) {
 			cfg := quickCfg()
 			cfg.Sim.Seed = seed
 			audit := telemetry.NewAudit()
-			res, err := RunMixErr(&cfg, scheme, mix, WithAudit(audit))
+			res, err := RunMix(&cfg, scheme, mix, WithAudit(audit))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestIsolationAuditAcrossSchemes(t *testing.T) {
 		cfg := quickCfg()
 		cfg.Sim.Seed = seed
 		audit := telemetry.NewAudit()
-		res, err := RunMixErr(&cfg, config.SchemeBaseline, mix, WithAudit(audit))
+		res, err := RunMix(&cfg, config.SchemeBaseline, mix, WithAudit(audit))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestTraceExportFromRun(t *testing.T) {
 	// Large enough that the measure-phase events do not push the warmup-
 	// boundary phase marker out of the ring.
 	tr := telemetry.NewTracer(1<<18, 1)
-	res, err := RunMixErr(&cfg, config.SchemeIvLeaguePro, mix, WithTracer(tr))
+	res, err := RunMix(&cfg, config.SchemeIvLeaguePro, mix, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +294,8 @@ func TestTraceExportFromRun(t *testing.T) {
 func TestTracingAndAuditDoNotPerturbResults(t *testing.T) {
 	cfg := quickCfg()
 	mix := smallMix(t)
-	plain := RunMix(&cfg, config.SchemeIvLeagueInvert, mix)
-	traced := RunMix(&cfg, config.SchemeIvLeagueInvert, mix,
+	plain := runMix(t, &cfg, config.SchemeIvLeagueInvert, mix)
+	traced := runMix(t, &cfg, config.SchemeIvLeagueInvert, mix,
 		WithTracer(telemetry.NewTracer(1<<12, 8)), WithAudit(telemetry.NewAudit()))
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("telemetry perturbed the run:\nplain:  %+v\ntraced: %+v", plain, traced)

@@ -105,7 +105,9 @@ func (m *Metrics) Summary() string {
 
 // EngineConfig configures a sweep engine.
 type EngineConfig struct {
-	// Dir is the cache directory (objects/ store + journal).
+	// Dir is the cache directory (objects/ store + journal). Empty opens
+	// no store and no journal: every cell is a miss, nothing touches disk,
+	// and cells still run under the engine's containment.
 	Dir string
 	// CellTimeout bounds one cell's simulation; 0 disables the bound. A
 	// timed-out cell counts against the failure budget and is rendered
@@ -120,15 +122,13 @@ type EngineConfig struct {
 	// being cached, and the engine reports fatal outcomes so the caller
 	// can checkpoint and exit with a resume hint.
 	Ctx context.Context
-	// Metrics receives the counters; nil allocates a private set.
-	Metrics *Metrics
 }
 
 // Engine coordinates cached, fault-contained sweep cells. It is safe for
 // concurrent use by the figure harness's worker pool.
 type Engine struct {
-	cache   *Cache
-	journal *Journal
+	cache   *Cache   // nil without a Dir
+	journal *Journal // nil without a Dir
 	metrics *Metrics
 	ctx     context.Context
 
@@ -141,49 +141,56 @@ type Engine struct {
 	grace time.Duration
 }
 
-// NewEngine opens the cache and journal under cfg.Dir.
+// NewEngine builds an engine, opening the cache and journal under
+// cfg.Dir when it is set.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
-	cache, err := OpenCache(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	journal, err := OpenJournal(filepath.Join(cfg.Dir, JournalName))
-	if err != nil {
-		return nil, err
-	}
-	m := cfg.Metrics
-	if m == nil {
-		m = &Metrics{}
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Engine{
-		cache:       cache,
-		journal:     journal,
-		metrics:     m,
-		ctx:         ctx,
+	e := &Engine{
+		metrics:     &Metrics{},
+		ctx:         cfg.Ctx,
 		cellTimeout: cfg.CellTimeout,
 		maxFailures: cfg.MaxCellFailures,
 		grace:       2 * time.Second,
-	}, nil
+	}
+	if e.ctx == nil {
+		e.ctx = context.Background()
+	}
+	if cfg.Dir == "" {
+		return e, nil
+	}
+	var err error
+	if e.cache, err = OpenCache(cfg.Dir); err != nil {
+		return nil, err
+	}
+	if e.journal, err = OpenJournal(filepath.Join(cfg.Dir, JournalName)); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
-// Cache returns the underlying object store.
+// Cache returns the underlying object store, nil for a dirless engine.
 func (e *Engine) Cache() *Cache { return e.cache }
 
 // Interrupted reports whether the sweep's context has been canceled.
 func (e *Engine) Interrupted() bool { return e.ctx.Err() != nil }
 
 // Checkpoint fsyncs the journal (the SIGINT/SIGTERM drain path).
-func (e *Engine) Checkpoint() error { return e.journal.Checkpoint() }
+func (e *Engine) Checkpoint() error {
+	if e.journal == nil {
+		return nil
+	}
+	return e.journal.Checkpoint()
+}
 
 // Close checkpoints and closes the journal.
-func (e *Engine) Close() error { return e.journal.Close() }
+func (e *Engine) Close() error {
+	if e.journal == nil {
+		return nil
+	}
+	return e.journal.Close()
+}
 
 // Outcome classifies what Cell did.
 type Outcome int
@@ -218,11 +225,14 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Cell executes one sweep cell: consult the cache, else run with the
-// configured timeout under the sweep context, persist the result
-// immediately, and contain persistent failures. run must fill dst on
-// success; on a cache hit dst is decoded from the stored entry instead.
+// Cell executes one sweep cell: consult the cache, else Run the body,
+// persist the result immediately and journal what happened. run must fill
+// dst on success; on a cache hit dst is decoded from the stored entry
+// instead. A dirless engine has no store, so Cell is exactly Run.
 func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error) (Outcome, error) {
+	if e.cache == nil {
+		return e.Run(key, run)
+	}
 	if err := e.ctx.Err(); err != nil {
 		return OutcomeFatal, fmt.Errorf("sweep: interrupted before %s: %w", key.Label(), err)
 	}
@@ -246,35 +256,17 @@ func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error)
 		}
 		return OutcomeHit, nil
 	}
-	e.metrics.Misses.Add(1)
 	if err := e.journal.Append(Record{Event: "start", Fingerprint: fp, Label: key.Label()}); err != nil {
 		return OutcomeFatal, err
 	}
 
-	cctx := e.ctx
-	if e.cellTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(e.ctx, e.cellTimeout)
-		defer cancel()
-	}
-	// Wall-clock only feeds the latency histogram (progress reporting);
-	// it never reaches a cached result or a table.
-	simStart := time.Now()
-	runErr := e.runContained(key, cctx, run)
-	e.metrics.ObserveCellLatency(time.Since(simStart))
-
-	if e.ctx.Err() != nil {
-		// Sweep-level interrupt: the cell is neither done nor failed.
-		e.metrics.Canceled.Add(1)
-		if err := e.journal.Append(Record{Event: "interrupted", Fingerprint: fp, Label: key.Label()}); err != nil {
-			return OutcomeFatal, err
-		}
-		return OutcomeFatal, fmt.Errorf("sweep: interrupted during %s: %w", key.Label(), e.ctx.Err())
-	}
-	if runErr == nil {
+	outcome, runErr := e.Run(key, run)
+	rec := Record{Event: "failed", Fingerprint: fp, Label: key.Label()}
+	switch {
+	case outcome == OutcomeRan:
+		rec.Event = "done"
 		retries, putErr := e.cache.Put(fp, key, dst)
 		e.metrics.WriteRetries.Add(uint64(retries))
-		rec := Record{Event: "done", Fingerprint: fp, Label: key.Label()}
 		if putErr != nil {
 			// The in-memory result is still good; a sweep that cannot
 			// persist keeps going and simply cannot skip this cell on
@@ -282,28 +274,39 @@ func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error)
 			e.metrics.WriteFailures.Add(1)
 			rec.Err = putErr.Error()
 		}
-		if err := e.journal.Append(rec); err != nil {
-			return OutcomeFatal, err
-		}
-		return OutcomeRan, nil
+	case outcome == OutcomeFatal && !errors.Is(runErr, ErrFailureBudget):
+		// Sweep-level interrupt: the cell is neither done nor failed.
+		rec.Event = "interrupted"
+	default:
+		rec.Err = runErr.Error()
 	}
-
-	// Persistent per-cell failure (simulation error, panic, or timeout):
-	// journal it and degrade unless the budget is spent.
-	e.metrics.Degraded.Add(1)
-	if err := e.journal.Append(Record{Event: "failed", Fingerprint: fp, Label: key.Label(), Err: runErr.Error()}); err != nil {
+	if err := e.journal.Append(rec); err != nil {
 		return OutcomeFatal, err
 	}
-	if n := e.failures.Add(1); e.maxFailures >= 0 && n > int64(e.maxFailures) {
-		return OutcomeFatal, fmt.Errorf("%w: %d cells failed (budget %d), last: %s: %v",
-			ErrFailureBudget, n, e.maxFailures, key.Label(), runErr)
-	}
-	return OutcomeDegraded, fmt.Errorf("sweep: cell %s failed: %w", key.Label(), runErr)
+	return outcome, runErr
 }
 
-// runContained runs the cell body under ctx, converting panics to errors
-// and bounding how long the engine waits after the context fires.
-func (e *Engine) runContained(key CellKey, ctx context.Context, run func(ctx context.Context) error) error {
+// Run executes one cell body under the engine's containment, without
+// consulting or filling the store: the sweep interrupt, the cell timeout,
+// panic recovery, the latency histogram and the failure budget. Cell
+// calls it on a miss; cells whose effects a stored result cannot
+// reproduce (trace export, armed fault injection, attack runs) call it
+// directly. On OutcomeRan the body has returned, so whatever it wrote is
+// safe to read; on any other outcome it may still be running.
+func (e *Engine) Run(key CellKey, run func(ctx context.Context) error) (Outcome, error) {
+	if err := e.ctx.Err(); err != nil {
+		return OutcomeFatal, fmt.Errorf("sweep: interrupted before %s: %w", key.Label(), err)
+	}
+	e.metrics.Misses.Add(1)
+	ctx := e.ctx
+	if e.cellTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(e.ctx, e.cellTimeout)
+		defer cancel()
+	}
+	// Wall-clock only feeds the latency histogram (progress reporting);
+	// it never reaches a cached result or a table.
+	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -313,25 +316,36 @@ func (e *Engine) runContained(key CellKey, ctx context.Context, run func(ctx con
 		}()
 		done <- run(ctx)
 	}()
+	var runErr error
 	select {
-	case err := <-done:
-		return err
+	case runErr = <-done:
 	case <-ctx.Done():
 		// Give the cell a grace window to observe the cancellation (the
 		// simulator polls its context every few thousand ops); a cell
 		// that ignores it is abandoned — its goroutine finishes into the
-		// buffered channel and is collected.
+		// buffered channel and is collected. A cell that finishes with a
+		// usable result despite a firing deadline keeps it.
 		select {
-		case err := <-done:
-			if err == nil {
-				// Finished despite the firing deadline/cancel: only a
-				// timeout makes this reachable with a usable result, and
-				// the result is valid — keep it.
-				return nil
-			}
-			return err
+		case runErr = <-done:
 		case <-time.After(e.grace):
-			return fmt.Errorf("sweep: cell %s abandoned: %w", key.Label(), ctx.Err())
+			runErr = fmt.Errorf("sweep: cell %s abandoned: %w", key.Label(), ctx.Err())
 		}
 	}
+	e.metrics.ObserveCellLatency(time.Since(start))
+
+	if err := e.ctx.Err(); err != nil {
+		e.metrics.Canceled.Add(1)
+		return OutcomeFatal, fmt.Errorf("sweep: interrupted during %s: %w", key.Label(), err)
+	}
+	if runErr == nil {
+		return OutcomeRan, nil
+	}
+	// Persistent per-cell failure (simulation error, panic, or timeout):
+	// degrade unless the budget is spent.
+	e.metrics.Degraded.Add(1)
+	if n := e.failures.Add(1); e.maxFailures >= 0 && n > int64(e.maxFailures) {
+		return OutcomeFatal, fmt.Errorf("%w: %d cells failed (budget %d), last: %s: %v",
+			ErrFailureBudget, n, e.maxFailures, key.Label(), runErr)
+	}
+	return OutcomeDegraded, fmt.Errorf("sweep: cell %s failed: %w", key.Label(), runErr)
 }

@@ -10,7 +10,9 @@
 // a configurable timeout, bounded retry with backoff for transient I/O on
 // cache writes, and a failure budget under which persistently failing
 // cells are journaled and rendered as degraded table entries instead of
-// aborting the whole sweep.
+// aborting the whole sweep. An engine without a cache directory keeps
+// only that containment, so it is how every figure cell runs, cached or
+// not.
 //
 // The shape follows treefmt's content-addressed eval cache (walk/cache):
 // fingerprint → object file, with the fingerprint covering everything the

@@ -331,6 +331,40 @@ func TestEngineMissThenHit(t *testing.T) {
 	}
 }
 
+// TestDirlessEngineRunsEveryCell pins the engine without a cache
+// directory: no store, no journal, every cell a miss that runs, and
+// checkpointing a no-op.
+func TestDirlessEngineRunsEveryCell(t *testing.T) {
+	e, err := NewEngine(EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Cache() != nil {
+		t.Fatal("dirless engine opened a store")
+	}
+	runs := 0
+	for i := 0; i < 2; i++ {
+		var v float64
+		out, err := e.Cell(testKey("S-1"), &v, func(context.Context) error {
+			runs++
+			v = 1.25
+			return nil
+		})
+		if err != nil || out != OutcomeRan || v != 1.25 {
+			t.Fatalf("cell %d: %v %v v=%v", i, out, err, v)
+		}
+	}
+	if m := e.Metrics(); runs != 2 || m.Misses.Load() != 2 || m.Hits.Load() != 0 {
+		t.Fatalf("runs=%d hits=%d misses=%d, want two misses", runs, m.Hits.Load(), m.Misses.Load())
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEngineDegradesWithinBudgetThenAborts(t *testing.T) {
 	e := newTestEngine(t, EngineConfig{MaxCellFailures: 1})
 	boom := func(context.Context) error { return errors.New("boom") }
