@@ -218,10 +218,12 @@ func BenchmarkFig20bMetaCacheSize(b *testing.B) {
 // requirement curves.
 func BenchmarkFig21RequiredTreeLings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := analysis.Fig21Series(32<<30, 1<<12,
-			[]int{2, 8, 32, 128, 512, 2048}, []float64{1.0, 0.5, 0.1})
-		if len(pts) != 18 {
-			b.Fatal("wrong point count")
+		for _, mb := range []int{2, 8, 32, 128, 512, 2048} {
+			for _, skew := range []float64{1.0, 0.5, 0.1} {
+				if analysis.RequiredTreeLings(32<<30, 1<<12, uint64(mb)<<20, skew) == 0 {
+					b.Fatal("zero requirement")
+				}
+			}
 		}
 	}
 }

@@ -135,13 +135,12 @@ func replayScript(path string) int {
 
 func resolveSchemes(name string) ([]config.Scheme, error) {
 	if strings.EqualFold(name, "all") {
-		return []config.Scheme{
-			config.SchemeIvLeagueBasic,
-			config.SchemeIvLeagueInvert,
-			config.SchemeIvLeaguePro,
-		}, nil
+		return modelcheck.Schemes(), nil
 	}
-	s, err := modelcheck.SchemeFromToken(name)
+	s, err := config.ParseScheme(name)
+	if err == nil {
+		err = modelcheck.CheckScheme(s)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func main() {
 	phaseSample := flag.Int("phase-sample", 64, "with -phase-timers, sample every Nth op (rounded to a power of two)")
 	flag.Parse()
 
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := config.ParseScheme(*schemeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -272,24 +272,4 @@ func parseInject(spec string, seed uint64) (*faults.SimInjection, error) {
 		return nil, fmt.Errorf("-inject op %q: %v", opStr, err)
 	}
 	return &faults.SimInjection{Class: class, AtOp: op, Seed: seed}, nil
-}
-
-func parseScheme(s string) (config.Scheme, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return config.SchemeBaseline, nil
-	case "static", "static-partition":
-		return config.SchemeStaticPartition, nil
-	case "ivleague-basic", "basic":
-		return config.SchemeIvLeagueBasic, nil
-	case "ivleague-invert", "invert":
-		return config.SchemeIvLeagueInvert, nil
-	case "ivleague-pro", "pro":
-		return config.SchemeIvLeaguePro, nil
-	case "bv-v1":
-		return config.SchemeBVv1, nil
-	case "bv-v2":
-		return config.SchemeBVv2, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }

@@ -62,8 +62,8 @@ func main() {
 	}
 	fmt.Printf("secure read:  %d cycles -> %q\n", res.Latency, got[:27])
 
-	// Attack 1: flip ciphertext bits in "off-chip memory".
-	if err := mem.CorruptData(pfn, 0); err != nil {
+	// Attack 1: flip a ciphertext bit in "off-chip memory".
+	if err := mem.FlipDataBit(pfn, 0, 0); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := mem.ReadBlock(req, got); err != nil {

@@ -109,28 +109,6 @@ func SuccessRates(c ScalabilityConfig) (static, ivleague float64) {
 	return float64(okStatic) / float64(c.Trials), float64(okIv) / float64(c.Trials)
 }
 
-// Fig21Point is one (treelingSize, skew) sample of Figure 21.
-type Fig21Point struct {
-	TreeLingMB int
-	Skew       float64
-	Required   uint64
-}
-
-// Fig21Series computes the Figure 21 curves for one system-memory size.
-func Fig21Series(memoryBytes uint64, domains int, treelingMBs []int, skews []float64) []Fig21Point {
-	var out []Fig21Point
-	for _, mb := range treelingMBs {
-		for _, s := range skews {
-			out = append(out, Fig21Point{
-				TreeLingMB: mb,
-				Skew:       s,
-				Required:   RequiredTreeLings(memoryBytes, domains, uint64(mb)<<20, s),
-			})
-		}
-	}
-	return out
-}
-
 // Fig22Point is one cell of the Figure 22 success-rate surfaces.
 type Fig22Point struct {
 	Utilization float64
@@ -138,26 +116,4 @@ type Fig22Point struct {
 	MemoryGB    int
 	Static      float64
 	IvLeague    float64
-}
-
-// Fig22Surface sweeps the Figure 22 parameter space.
-func Fig22Surface(treelings int, treelingBytes uint64, utils []float64, domains []int, memGBs []int, trials int, seed uint64) []Fig22Point {
-	var out []Fig22Point
-	for _, u := range utils {
-		for _, d := range domains {
-			for _, g := range memGBs {
-				s, iv := SuccessRates(ScalabilityConfig{
-					TreeLings:     treelings,
-					TreeLingBytes: treelingBytes,
-					Utilization:   u,
-					Domains:       d,
-					MemoryBytes:   uint64(g) << 30,
-					Trials:        trials,
-					Seed:          seed,
-				})
-				out = append(out, Fig22Point{Utilization: u, Domains: d, MemoryGB: g, Static: s, IvLeague: iv})
-			}
-		}
-	}
-	return out
 }

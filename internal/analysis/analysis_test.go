@@ -88,29 +88,22 @@ func TestSuccessRateBounds(t *testing.T) {
 	}
 }
 
-func TestFig21Series(t *testing.T) {
-	pts := Fig21Series(8<<30, 1<<12, []int{2, 8, 32}, []float64{0.1, 1.0})
-	if len(pts) != 6 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.Required == 0 {
-			t.Fatalf("zero requirement at %+v", p)
-		}
-	}
-}
-
 func TestFig22Surface(t *testing.T) {
-	pts := Fig22Surface(4096, 16<<20, []float64{0.2, 0.8}, []int{8, 64}, []int{8, 64}, 50, 3)
-	if len(pts) != 8 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	// The aggregate trend of Figure 22: IvLeague's mean success dominates
+	// The aggregate trend of Figure 22: over a grid of utilizations,
+	// domain counts and memory sizes, IvLeague's mean success rate beats
 	// static partitioning's.
 	var sMean, ivMean float64
-	for _, p := range pts {
-		sMean += p.Static
-		ivMean += p.IvLeague
+	for _, u := range []float64{0.2, 0.8} {
+		for _, d := range []int{8, 64} {
+			for _, g := range []int{8, 64} {
+				s, iv := SuccessRates(ScalabilityConfig{
+					TreeLings: 4096, TreeLingBytes: 16 << 20,
+					Utilization: u, Domains: d, MemoryBytes: uint64(g) << 30, Trials: 50, Seed: 3,
+				})
+				sMean += s
+				ivMean += iv
+			}
+		}
 	}
 	if ivMean <= sMean {
 		t.Fatalf("IvLeague mean %v not above static %v", ivMean, sMean)

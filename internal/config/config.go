@@ -7,6 +7,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Memory geometry constants shared by every component. A cache/memory block
@@ -66,6 +67,30 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+}
+
+// ParseScheme resolves a scheme name as the command-line tools and
+// counterexample scripts spell it, ignoring case: baseline, static
+// (static-partition), basic, invert and pro (each also with an ivleague-
+// prefix), bv-v1 and bv-v2.
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(name) {
+	case "baseline":
+		return SchemeBaseline, nil
+	case "static", "static-partition":
+		return SchemeStaticPartition, nil
+	case "basic", "ivleague-basic":
+		return SchemeIvLeagueBasic, nil
+	case "invert", "ivleague-invert":
+		return SchemeIvLeagueInvert, nil
+	case "pro", "ivleague-pro":
+		return SchemeIvLeaguePro, nil
+	case "bv-v1":
+		return SchemeBVv1, nil
+	case "bv-v2":
+		return SchemeBVv2, nil
+	}
+	return 0, fmt.Errorf("config: unknown scheme %q", name)
 }
 
 // IsIvLeague reports whether the scheme uses TreeLings with dynamic

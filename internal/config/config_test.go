@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultValidates(t *testing.T) {
 	cfg := Default()
@@ -60,6 +63,34 @@ func TestSchemeStrings(t *testing.T) {
 	}
 	if SchemeBaseline.IsIvLeague() || !SchemeIvLeaguePro.IsIvLeague() || !SchemeBVv1.IsIvLeague() {
 		t.Fatal("IsIvLeague classification wrong")
+	}
+}
+
+// TestParseScheme pins the one scheme-name parser: every spelling ivsim,
+// ivcheck and counterexample scripts accept, in any case, and an error
+// for an unknown name.
+func TestParseScheme(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scheme
+	}{
+		{"baseline", SchemeBaseline},
+		{"static", SchemeStaticPartition}, {"static-partition", SchemeStaticPartition},
+		{"basic", SchemeIvLeagueBasic}, {"ivleague-basic", SchemeIvLeagueBasic},
+		{"invert", SchemeIvLeagueInvert}, {"ivleague-invert", SchemeIvLeagueInvert},
+		{"pro", SchemeIvLeaguePro}, {"ivleague-pro", SchemeIvLeaguePro},
+		{"bv-v1", SchemeBVv1}, {"bv-v2", SchemeBVv2},
+	} {
+		for _, name := range []string{tc.name, strings.ToUpper(tc.name)} {
+			if got, err := ParseScheme(name); err != nil || got != tc.want {
+				t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, tc.want)
+			}
+		}
+	}
+	for _, bad := range []string{"", "bvv1", "ivleague"} {
+		if _, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q): want error", bad)
+		}
 	}
 }
 

@@ -46,26 +46,10 @@ func runToCrash(cfg *config.Config, scheme config.Scheme, mix workload.Mix, k ui
 	return m, nil
 }
 
-// firstDiff locates the first differing line of two digests, for readable
-// failure messages.
-func firstDiff(a, b []byte) string {
-	la := bytes.Split(a, []byte("\n"))
-	lb := bytes.Split(b, []byte("\n"))
-	n := len(la)
-	if len(lb) < n {
-		n = len(lb)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(la[i], lb[i]) {
-			return fmt.Sprintf("line %d: %q vs %q", i+1, la[i], lb[i])
-		}
-	}
-	return fmt.Sprintf("lengths differ: %d vs %d lines", len(la), len(lb))
-}
-
-// CrashRecoveryCheck crashes a run of (cfg, scheme, mix) at op k, recovers
-// a controller from the persisted image and asserts it byte-identical (by
-// canonical state digest) to an independent clean machine stopped at the
+// CrashRecoveryCheck crashes a run of (cfg, scheme, mix) at op k and runs
+// the controller's CheckRecovery: the state recovered from the persisted
+// image must equal the crashed machine's byte for byte, and the crashed
+// state must equal that of an independent clean machine stopped at the
 // same op. It then exercises the recovered controller — verified reads of
 // mapped pages, a fresh page map, a write/read round trip — so recovery is
 // shown live, not just equal.
@@ -74,13 +58,9 @@ func CrashRecoveryCheck(cfg *config.Config, scheme config.Scheme, mix workload.M
 	if err != nil {
 		return err
 	}
-	img, err := crashed.Mem().Persist()
+	rec, err := crashed.Mem().CheckRecovery()
 	if err != nil {
-		return fmt.Errorf("faults: persist under %v: %w", scheme, err)
-	}
-	rec, err := secmem.Recover(cfg, img)
-	if err != nil {
-		return fmt.Errorf("faults: recover under %v at op %d: %w", scheme, k, err)
+		return fmt.Errorf("faults: %v at op %d: %w", scheme, k, err)
 	}
 
 	// Determinism baseline: an independent machine stopped at the same op.
@@ -88,14 +68,8 @@ func CrashRecoveryCheck(cfg *config.Config, scheme config.Scheme, mix workload.M
 	if err != nil {
 		return err
 	}
-	dCrashed := crashed.Mem().StateDigest()
-	dClean := clean.Mem().StateDigest()
-	if !bytes.Equal(dCrashed, dClean) {
-		return fmt.Errorf("faults: %v at op %d: two identical runs diverged (%s)", scheme, k, firstDiff(dCrashed, dClean))
-	}
-	dRec := rec.StateDigest()
-	if !bytes.Equal(dRec, dClean) {
-		return fmt.Errorf("faults: %v at op %d: recovered state differs from clean rerun (%s)", scheme, k, firstDiff(dRec, dClean))
+	if a, b := crashed.Mem().StateDigest(), clean.Mem().StateDigest(); !bytes.Equal(a, b) {
+		return fmt.Errorf("faults: %v at op %d: two identical runs diverged (%s)", scheme, k, secmem.DigestDiff(a, b))
 	}
 
 	// Liveness: the recovered controller must serve verified traffic.

@@ -11,8 +11,11 @@
 //
 // Injection is seeded and deterministic: the same (config, scheme, class,
 // seed) picks the same target and produces the same report, so failures
-// replay exactly. The crash model (crash.go) kills a run at op k and
-// replays Phoenix-style recovery from the persisted image.
+// replay exactly. One injector, Inject, serves two fixtures: the
+// functional workbench behind InjectAndDetect and a live simulated
+// machine armed through SimInjection (live.go). The crash model
+// (crash.go) kills a run at op k and replays Phoenix-style recovery from
+// the persisted image.
 package faults
 
 import (
@@ -92,56 +95,202 @@ func (c Class) AppliesTo(scheme config.Scheme) bool {
 	return true
 }
 
-// blockRef names one written data block and its owner.
-type blockRef struct {
-	domain int
-	vpn    layout.VPN
-	pfn    layout.PFN
-	block  int
+// Injection records one applied fault and where its detection shows.
+type Injection struct {
+	Class Class
+	// Desc names the corrupted structure for reports.
+	Desc string
+	// pfn and block locate the block whose verified read should trip
+	// detection (page-targeted classes); nflDomain is the domain whose
+	// allocations should (nfl-set).
+	pfn       layout.PFN
+	block     int
+	nflDomain int
 }
 
-// req builds the access request that re-reads the block.
-func (b blockRef) req() secmem.AccessRequest {
-	return secmem.AccessRequest{Domain: b.domain, VPN: b.vpn, PFN: b.pfn, Block: b.block}
+// ErrNoTarget is returned by Inject when the class has no target in the
+// current machine state (e.g. no occupied NFL slot yet). It is a skip, not
+// a detection failure.
+var ErrNoTarget = errors.New("faults: no injection target available")
+
+// Inject applies one fault of the class to a functional controller. Every
+// target comes from the controller itself — mapped pages, materialized
+// counter blocks, live domains, unassigned TreeLings — drawn with r, so
+// the same machine state and r land the same fault. The data-plane
+// classes (data-bit, data-splice, mac, rollback) aim at block 0 of a
+// mapped page and return ErrNoTarget where that block was never written,
+// as on a machine driven only through the timing path. The machine is
+// left tampered.
+func Inject(c *secmem.Controller, class Class, r *rng.Source) (*Injection, error) {
+	if !c.Functional() {
+		return nil, errors.New("faults: injection requires a functional controller")
+	}
+	if !class.AppliesTo(c.Scheme()) {
+		return nil, fmt.Errorf("%w: class %s does not apply to %v", ErrNoTarget, class, c.Scheme())
+	}
+	lay := c.Layout()
+	inj := &Injection{Class: class}
+	switch class {
+	case ClassCounter:
+		// Valid targets are exactly the materialized counter blocks (pages
+		// that have been written back); the store knows them directly, so
+		// the no-target answer stays cheap for a hook that retries per op.
+		pfns := c.Counters().PFNs()
+		if len(pfns) == 0 {
+			return nil, fmt.Errorf("%w: no materialized counter block", ErrNoTarget)
+		}
+		inj.pfn = pfns[r.Intn(len(pfns))]
+		inj.block = r.Intn(config.BlocksPerPage)
+		inj.Desc = fmt.Sprintf("bump minor counter of pfn %d block %d", inj.pfn, inj.block)
+		return inj, c.TamperCounter(inj.pfn, inj.block)
+
+	case ClassNFLSet, ClassNFLClear:
+		set := class == ClassNFLSet
+		pick := r.Uint64()
+		ids := c.IvLeague().DomainIDs()
+		for _, off := range r.Perm(len(ids)) {
+			dom := ids[off]
+			if tl, node, s, ok := c.IvLeague().TamperNFLAvail(dom, set, pick); ok {
+				inj.nflDomain = dom
+				inj.Desc = fmt.Sprintf("flip avail (set=%v) of TreeLing %d node %d slot %d, domain %d", set, tl, node, s, dom)
+				return inj, nil
+			}
+		}
+		return nil, fmt.Errorf("%w: no NFL candidate (set=%v)", ErrNoTarget, set)
+
+	case ClassScratchNode:
+		un := c.IvLeague().UnassignedTreeLings()
+		if len(un) == 0 {
+			return nil, fmt.Errorf("%w: no unassigned TreeLing", ErrNoTarget)
+		}
+		tl := un[r.Intn(len(un))]
+		node := r.Intn(lay.NodesPerTreeLing)
+		slot := r.Intn(lay.Arity)
+		c.Forest().Corrupt(tl, node, slot, r.Uint64()|1)
+		inj.Desc = fmt.Sprintf("scribble on unassigned TreeLing %d node %d slot %d", tl, node, slot)
+		return inj, nil
+	}
+
+	// The remaining classes target one mapped page.
+	pages := c.MappedPages()
+	if len(pages) == 0 {
+		return nil, fmt.Errorf("%w: no mapped pages", ErrNoTarget)
+	}
+	i := r.Intn(len(pages))
+	inj.pfn = pages[i].PFN
+	var err error
+	switch class {
+	case ClassTreeNode:
+		garbage := r.Uint64() | 1
+		if f := c.Forest(); f != nil {
+			slot, ok := c.SlotOf(inj.pfn)
+			if !ok {
+				return nil, fmt.Errorf("%w: pfn %d has no slot", ErrNoTarget, inj.pfn)
+			}
+			f.Corrupt(slot.TreeLing(), slot.Node(), slot.Slot(), garbage)
+			inj.Desc = fmt.Sprintf("overwrite TreeLing %d node %d slot %d", slot.TreeLing(), slot.Node(), slot.Slot())
+			return inj, nil
+		}
+		idx := lay.GlobalNodeIndex(inj.pfn, 1)
+		slot := int(uint64(inj.pfn) % uint64(lay.Arity))
+		c.GlobalTree().Corrupt(1, idx, slot, garbage)
+		inj.Desc = fmt.Sprintf("overwrite global node L1/%d slot %d", idx, slot)
+		return inj, nil
+
+	case ClassLMM:
+		slot, ok := c.SlotOf(inj.pfn)
+		if !ok {
+			return nil, fmt.Errorf("%w: pfn %d has no LMM entry", ErrNoTarget, inj.pfn)
+		}
+		forgedNode := (slot.Node() + 1 + r.Intn(lay.NodesPerTreeLing-1)) % lay.NodesPerTreeLing
+		forged := core.MakeSlot(slot.TreeLing(), forgedNode, slot.Slot())
+		inj.Desc = fmt.Sprintf("forge LMM of pfn %d: %v -> %v", inj.pfn, slot, forged)
+		_, err = c.TamperLMM(inj.pfn, forged)
+
+	case ClassDataBit:
+		bit := r.Intn(config.BlockBytes * 8)
+		inj.Desc = fmt.Sprintf("flip ciphertext bit %d of pfn %d block 0", bit, inj.pfn)
+		err = c.FlipDataBit(inj.pfn, 0, bit)
+
+	case ClassMAC:
+		bit := r.Intn(64)
+		inj.Desc = fmt.Sprintf("flip MAC bit %d of pfn %d block 0", bit, inj.pfn)
+		err = c.CorruptMAC(inj.pfn, 0, bit)
+
+	case ClassDataSplice:
+		if len(pages) < 2 {
+			return nil, fmt.Errorf("%w: splicing needs two mapped pages", ErrNoTarget)
+		}
+		src := pages[(i+1+r.Intn(len(pages)-1))%len(pages)].PFN
+		inj.Desc = fmt.Sprintf("splice pfn %d block 0 over pfn %d block 0", src, inj.pfn)
+		err = c.SpliceData(src, 0, inj.pfn, 0)
+
+	case ClassRollback:
+		inj.Desc = fmt.Sprintf("replay stale triple of pfn %d block 0", inj.pfn)
+		err = replayStale(c, pages[i], r)
+
+	default:
+		return nil, fmt.Errorf("faults: unknown class %q", class)
+	}
+	if errors.Is(err, secmem.ErrNoTamperTarget) {
+		return nil, fmt.Errorf("%w: %v", ErrNoTarget, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return inj, nil
 }
 
-// Workbench is a self-contained functional machine the injector attacks:
-// a secure-memory controller with two domains, mapped pages and known
-// plaintext written through the full secure path. Deterministic under its
-// seed.
-type Workbench struct {
-	Cfg    config.Config
-	Scheme config.Scheme
-	C      *secmem.Controller
+// replayStale snapshots block 0 of the page, overwrites it with fresh
+// plaintext and restores the stale (ciphertext, MAC, counter) triple.
+func replayStale(c *secmem.Controller, p secmem.PageRef, r *rng.Source) error {
+	snap, err := c.SnapshotBlock(p.PFN, 0)
+	if err != nil {
+		return err
+	}
+	payload := make([]byte, config.BlockBytes)
+	for j := range payload {
+		payload[j] = byte(r.Uint64())
+	}
+	if _, err := c.WriteBlock(secmem.AccessRequest{Domain: p.Domain, VPN: p.VPN, PFN: p.PFN}, payload); err != nil {
+		return err
+	}
+	c.ReplayBlock(snap)
+	return nil
+}
 
+// workbench is the self-contained functional machine InjectAndDetect
+// attacks: a secure-memory controller with two domains, pagesPerDomain
+// mapped pages each and seeded plaintext written to block 0 of every page
+// through the full secure path. Deterministic under its seed.
+type workbench struct {
+	c       *secmem.Controller
 	r       *rng.Source
-	blocks  []blockRef
-	domains []int
 	nextPFN map[int]layout.PFN
 	nextVPN map[int]layout.VPN
 }
+
+// workbenchDomains are the domain IDs the workbench creates.
+var workbenchDomains = []int{1, 2}
 
 // pagesPerDomain sizes the workbench footprint: enough pages that every
 // class has targets (multiple TreeLings under small configs) while sweeps
 // stay fast.
 const pagesPerDomain = 12
 
-// NewWorkbench builds the attack fixture for (cfg, scheme, seed).
-func NewWorkbench(cfg *config.Config, scheme config.Scheme, seed uint64) (*Workbench, error) {
+// newWorkbench builds the attack fixture for (cfg, scheme, seed).
+func newWorkbench(cfg *config.Config, scheme config.Scheme, seed uint64) (*workbench, error) {
 	c, err := secmem.New(cfg, scheme, 2, secmem.WithFunctional())
 	if err != nil {
 		return nil, err
 	}
-	w := &Workbench{
-		Cfg:     *cfg,
-		Scheme:  scheme,
-		C:       c,
+	w := &workbench{
+		c:       c,
 		r:       rng.New(seed).ForkString("faults"),
-		domains: []int{1, 2},
 		nextPFN: make(map[int]layout.PFN),
 		nextVPN: make(map[int]layout.VPN),
 	}
-	for _, dom := range w.domains {
+	for _, dom := range workbenchDomains {
 		if err := c.CreateDomain(dom); err != nil {
 			return nil, err
 		}
@@ -156,20 +305,16 @@ func NewWorkbench(cfg *config.Config, scheme config.Scheme, seed uint64) (*Workb
 	}
 	payload := make([]byte, config.BlockBytes)
 	for i := 0; i < pagesPerDomain; i++ {
-		for _, dom := range w.domains {
+		for _, dom := range workbenchDomains {
 			vpn, pfn, err := w.mapFresh(dom)
 			if err != nil {
 				return nil, err
 			}
-			for _, blk := range []int{0, 1 + w.r.Intn(config.BlocksPerPage-1)} {
-				for j := range payload {
-					payload[j] = byte(w.r.Uint64())
-				}
-				ref := blockRef{domain: dom, vpn: vpn, pfn: pfn, block: blk}
-				if _, err := c.WriteBlock(ref.req(), payload); err != nil {
-					return nil, err
-				}
-				w.blocks = append(w.blocks, ref)
+			for j := range payload {
+				payload[j] = byte(w.r.Uint64())
+			}
+			if _, err := c.WriteBlock(secmem.AccessRequest{Domain: dom, VPN: vpn, PFN: pfn}, payload); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -177,159 +322,22 @@ func NewWorkbench(cfg *config.Config, scheme config.Scheme, seed uint64) (*Workb
 }
 
 // mapFresh maps one new page into the domain and returns its (vpn, pfn).
-func (w *Workbench) mapFresh(dom int) (vpn layout.VPN, pfn layout.PFN, err error) {
-	lay := w.C.Layout()
+func (w *workbench) mapFresh(dom int) (vpn layout.VPN, pfn layout.PFN, err error) {
 	pfn = w.nextPFN[dom]
-	if uint64(pfn) >= lay.Pages {
+	if uint64(pfn) >= w.c.Layout().Pages {
 		return 0, 0, fmt.Errorf("faults: domain %d out of frames", dom)
 	}
-	if w.Scheme == config.SchemeStaticPartition {
+	if w.c.Scheme() == config.SchemeStaticPartition {
 		w.nextPFN[dom] = pfn + 1
 	} else {
-		w.nextPFN[dom] = pfn + layout.PFN(len(w.domains))
+		w.nextPFN[dom] = pfn + layout.PFN(len(workbenchDomains))
 	}
 	vpn = w.nextVPN[dom]
 	w.nextVPN[dom]++
-	if _, err := w.C.OnPageMap(0, dom, vpn, pfn); err != nil {
+	if _, err := w.c.OnPageMap(0, dom, vpn, pfn); err != nil {
 		return 0, 0, err
 	}
 	return vpn, pfn, nil
-}
-
-// pickBlock selects one written data block.
-func (w *Workbench) pickBlock() blockRef {
-	return w.blocks[w.r.Intn(len(w.blocks))]
-}
-
-// Injection records one applied fault and how to probe for its detection.
-type Injection struct {
-	Class Class
-	// Desc names the corrupted structure for reports.
-	Desc string
-	// ref is the data block whose read should trip detection (data-path
-	// classes); nflDomain the domain whose allocations should (NFL set).
-	ref       blockRef
-	nflDomain int
-}
-
-// ErrNoTarget is returned by Apply when the class has no target in the
-// current machine state (e.g. no occupied NFL slot yet). It is a skip, not
-// a detection failure.
-var ErrNoTarget = errors.New("faults: no injection target available")
-
-// Apply injects one fault of the class into the workbench's controller,
-// choosing the target deterministically from the workbench seed. The
-// machine is left tampered; call Probe to run the detection check.
-func (w *Workbench) Apply(class Class) (*Injection, error) {
-	if !class.AppliesTo(w.Scheme) {
-		return nil, fmt.Errorf("%w: class %s does not apply to %v", ErrNoTarget, class, w.Scheme)
-	}
-	c := w.C
-	lay := c.Layout()
-	inj := &Injection{Class: class}
-	switch class {
-	case ClassDataBit:
-		inj.ref = w.pickBlock()
-		bit := w.r.Intn(config.BlockBytes * 8)
-		inj.Desc = fmt.Sprintf("flip ciphertext bit %d of pfn %d block %d", bit, inj.ref.pfn, inj.ref.block)
-		return inj, c.FlipDataBit(inj.ref.pfn, inj.ref.block, bit)
-
-	case ClassMAC:
-		inj.ref = w.pickBlock()
-		bit := w.r.Intn(64)
-		inj.Desc = fmt.Sprintf("flip MAC bit %d of pfn %d block %d", bit, inj.ref.pfn, inj.ref.block)
-		return inj, c.CorruptMAC(inj.ref.pfn, inj.ref.block, bit)
-
-	case ClassDataSplice:
-		src := w.pickBlock()
-		dst := w.pickBlock()
-		for dst.pfn == src.pfn && dst.block == src.block {
-			dst = w.blocks[(w.r.Intn(len(w.blocks)))]
-		}
-		inj.ref = dst
-		inj.Desc = fmt.Sprintf("splice pfn %d block %d over pfn %d block %d", src.pfn, src.block, dst.pfn, dst.block)
-		return inj, c.SpliceData(src.pfn, src.block, dst.pfn, dst.block)
-
-	case ClassCounter:
-		inj.ref = w.pickBlock()
-		inj.Desc = fmt.Sprintf("bump minor counter of pfn %d block %d", inj.ref.pfn, inj.ref.block)
-		return inj, c.TamperCounter(inj.ref.pfn, inj.ref.block)
-
-	case ClassRollback:
-		inj.ref = w.pickBlock()
-		snap, err := c.SnapshotBlock(inj.ref.pfn, inj.ref.block)
-		if err != nil {
-			return nil, err
-		}
-		payload := make([]byte, config.BlockBytes)
-		for j := range payload {
-			payload[j] = byte(w.r.Uint64())
-		}
-		if _, err := c.WriteBlock(inj.ref.req(), payload); err != nil {
-			return nil, err
-		}
-		c.ReplayBlock(snap)
-		inj.Desc = fmt.Sprintf("replay stale triple of pfn %d block %d", inj.ref.pfn, inj.ref.block)
-		return inj, nil
-
-	case ClassTreeNode:
-		inj.ref = w.pickBlock()
-		garbage := w.r.Uint64() | 1
-		if f := c.Forest(); f != nil {
-			slot, ok := c.SlotOf(inj.ref.pfn)
-			if !ok {
-				return nil, fmt.Errorf("%w: pfn %d has no slot", ErrNoTarget, inj.ref.pfn)
-			}
-			f.Corrupt(slot.TreeLing(), slot.Node(), slot.Slot(), garbage)
-			inj.Desc = fmt.Sprintf("overwrite TreeLing %d node %d slot %d", slot.TreeLing(), slot.Node(), slot.Slot())
-			return inj, nil
-		}
-		idx := lay.GlobalNodeIndex(inj.ref.pfn, 1)
-		slot := int(uint64(inj.ref.pfn) % uint64(lay.Arity))
-		c.GlobalTree().Corrupt(1, idx, slot, garbage)
-		inj.Desc = fmt.Sprintf("overwrite global node L1/%d slot %d", idx, slot)
-		return inj, nil
-
-	case ClassLMM:
-		inj.ref = w.pickBlock()
-		slot, ok := c.SlotOf(inj.ref.pfn)
-		if !ok {
-			return nil, fmt.Errorf("%w: pfn %d has no LMM entry", ErrNoTarget, inj.ref.pfn)
-		}
-		forgedNode := (slot.Node() + 1 + w.r.Intn(lay.NodesPerTreeLing-1)) % lay.NodesPerTreeLing
-		forged := core.MakeSlot(slot.TreeLing(), forgedNode, slot.Slot())
-		if _, err := c.TamperLMM(inj.ref.pfn, forged); err != nil {
-			return nil, err
-		}
-		inj.Desc = fmt.Sprintf("forge LMM of pfn %d: %v -> %v", inj.ref.pfn, slot, forged)
-		return inj, nil
-
-	case ClassNFLSet, ClassNFLClear:
-		set := class == ClassNFLSet
-		pick := w.r.Uint64()
-		for _, off := range w.r.Perm(len(w.domains)) {
-			dom := w.domains[off]
-			if tl, node, s, ok := c.IvLeague().TamperNFLAvail(dom, set, pick); ok {
-				inj.nflDomain = dom
-				inj.Desc = fmt.Sprintf("flip avail (set=%v) of TreeLing %d node %d slot %d, domain %d", set, tl, node, s, dom)
-				return inj, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: no NFL candidate (set=%v)", ErrNoTarget, set)
-
-	case ClassScratchNode:
-		un := c.IvLeague().UnassignedTreeLings()
-		if len(un) == 0 {
-			return nil, fmt.Errorf("%w: no unassigned TreeLing", ErrNoTarget)
-		}
-		tl := un[w.r.Intn(len(un))]
-		node := w.r.Intn(lay.NodesPerTreeLing)
-		slot := w.r.Intn(lay.Arity)
-		c.Forest().Corrupt(tl, node, slot, w.r.Uint64()|1)
-		inj.Desc = fmt.Sprintf("scribble on unassigned TreeLing %d node %d slot %d", tl, node, slot)
-		return inj, nil
-	}
-	return nil, fmt.Errorf("faults: unknown class %q", class)
 }
 
 // Report is the outcome of one inject-and-detect cycle.
@@ -364,96 +372,83 @@ func (r Report) String() string {
 // the frontier over the corrupted entry.
 const nflProbeCap = 1 << 14
 
-// Probe runs the detection check for an applied injection: metadata caches
+// probe runs the detection check for an applied injection: metadata caches
 // are flushed (so the next access re-verifies from memory) and the
 // relevant access path is exercised. It classifies the outcome; any error
 // that is not a typed IntegrityError is returned as a harness failure.
-func (w *Workbench) Probe(inj *Injection) (Report, error) {
-	rep := Report{Class: inj.Class, Scheme: w.Scheme, Desc: inj.Desc, Detectable: inj.Class.Detectable()}
-	c := w.C
-	c.FlushMetadata()
-
-	record := func(err error) (bool, error) {
-		if err == nil {
-			return false, nil
-		}
-		var ie *tree.IntegrityError
-		if errors.As(err, &ie) {
-			rep.Detected = true
-			rep.Err = ie
-			return true, nil
-		}
-		return false, fmt.Errorf("faults: probe of %s failed outside the integrity path: %w", inj.Class, err)
+func (w *workbench) probe(inj *Injection) (Report, error) {
+	rep := Report{Class: inj.Class, Scheme: w.c.Scheme(), Desc: inj.Desc, Detectable: inj.Class.Detectable()}
+	w.c.FlushMetadata()
+	err := w.exercise(inj)
+	var ie *tree.IntegrityError
+	switch {
+	case err == nil:
+	case errors.As(err, &ie):
+		rep.Detected, rep.Err = true, ie
+	default:
+		return rep, fmt.Errorf("faults: probe of %s failed outside the integrity path: %w", inj.Class, err)
 	}
+	return rep, nil
+}
 
+// exercise drives the access path that should trip detection of inj and
+// returns its first error.
+func (w *workbench) exercise(inj *Injection) error {
+	buf := make([]byte, config.BlockBytes)
+	read := func(p secmem.PageRef, block int) error {
+		_, err := w.c.ReadBlock(secmem.AccessRequest{Domain: p.Domain, VPN: p.VPN, PFN: p.PFN, Block: block}, buf)
+		return err
+	}
 	switch inj.Class {
 	case ClassNFLSet:
 		// Drive allocations until the frontier reaches the corrupted entry
 		// and the allocSlot cross-check fires.
 		for i := 0; i < nflProbeCap; i++ {
-			_, _, err := w.mapFresh(inj.nflDomain)
-			if err == nil {
-				continue
+			if _, _, err := w.mapFresh(inj.nflDomain); err != nil {
+				return err
 			}
-			if done, herr := record(err); herr != nil {
-				return rep, herr
-			} else if done {
-				return rep, nil
-			}
-			// Out of frames/TreeLings before the corruption was offered:
-			// report undetected rather than erroring the harness.
-			return rep, nil
 		}
-		return rep, nil
+		return nil
 
 	case ClassNFLClear, ClassScratchNode:
 		// Benign classes: the machine must keep working. Allocate a little
-		// and re-read every written block.
+		// and re-read block 0 of every mapped page.
 		for i := 0; i < 8; i++ {
-			for _, dom := range w.domains {
+			for _, dom := range workbenchDomains {
 				if _, _, err := w.mapFresh(dom); err != nil {
-					if _, herr := record(err); herr != nil {
-						return rep, herr
-					}
-					return rep, nil
+					return err
 				}
 			}
 		}
-		c.FlushMetadata()
-		buf := make([]byte, config.BlockBytes)
-		for _, ref := range w.blocks {
-			if _, err := c.ReadBlock(ref.req(), buf); err != nil {
-				if _, herr := record(err); herr != nil {
-					return rep, herr
-				}
-				return rep, nil
+		w.c.FlushMetadata()
+		for _, p := range w.c.MappedPages() {
+			if err := read(p, 0); err != nil {
+				return err
 			}
 		}
-		return rep, nil
-
-	default:
-		// Data-path classes: read the targeted block.
-		buf := make([]byte, config.BlockBytes)
-		_, err := c.ReadBlock(inj.ref.req(), buf)
-		if _, herr := record(err); herr != nil {
-			return rep, herr
-		}
-		return rep, nil
+		return nil
 	}
+	// Page-targeted classes: read the tampered block.
+	for _, p := range w.c.MappedPages() {
+		if p.PFN == inj.pfn {
+			return read(p, inj.block)
+		}
+	}
+	return fmt.Errorf("faults: tampered pfn %d is not mapped", inj.pfn)
 }
 
 // InjectAndDetect is the one-call sweep entry: build a workbench for
-// (cfg, scheme, seed), apply one fault of the class and probe for its
+// (cfg, scheme, seed), inject one fault of the class and probe for its
 // detection. ErrNoTarget skips are returned as errors for the caller to
 // filter.
 func InjectAndDetect(cfg *config.Config, scheme config.Scheme, class Class, seed uint64) (Report, error) {
-	w, err := NewWorkbench(cfg, scheme, seed)
+	w, err := newWorkbench(cfg, scheme, seed)
 	if err != nil {
 		return Report{}, err
 	}
-	inj, err := w.Apply(class)
+	inj, err := Inject(w.c, class, w.r)
 	if err != nil {
 		return Report{}, err
 	}
-	return w.Probe(inj)
+	return w.probe(inj)
 }

@@ -2,9 +2,13 @@ package faults
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/layout"
+	"ivleague/internal/rng"
+	"ivleague/internal/secmem"
 )
 
 func testCfg() config.Config {
@@ -46,6 +50,64 @@ func TestClassTaxonomy(t *testing.T) {
 		}
 		if !c.AppliesTo(config.SchemeIvLeaguePro) {
 			t.Fatalf("%s must apply to IvLeague", c)
+		}
+	}
+}
+
+// mappedController builds a functional controller with eight mapped pages
+// in each workbench domain; with write set, block 0 of every page is
+// written too.
+func mappedController(t *testing.T, scheme config.Scheme, write bool) *secmem.Controller {
+	t.Helper()
+	cfg := testCfg()
+	c, err := secmem.New(&cfg, scheme, 2, secmem.WithFunctional())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dom := range workbenchDomains {
+		if err := c.CreateDomain(dom); err != nil {
+			t.Fatal(err)
+		}
+		lo, _ := c.PartitionRange(dom)
+		for i := 0; i < 8; i++ {
+			req := secmem.AccessRequest{Domain: dom, VPN: layout.VPN(i), PFN: lo + layout.PFN(dom*8+i)}
+			if _, err := c.OnPageMap(0, dom, req.VPN, req.PFN); err != nil {
+				t.Fatal(err)
+			}
+			if write {
+				if _, err := c.WriteBlock(req, make([]byte, config.BlockBytes)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// TestInjectNeedsWrittenData pins the split LiveClasses encodes. On a
+// controller whose pages are mapped but never written, the state a timing
+// run leaves, the four data-plane classes find no target; once block 0 of
+// every mapped page is written, every class that applies lands.
+func TestInjectNeedsWrittenData(t *testing.T) {
+	for _, scheme := range allSchemes {
+		dataPlane := 0
+		for _, class := range Classes() {
+			if !class.AppliesTo(scheme) {
+				continue
+			}
+			if !slices.Contains(LiveClasses(), class) {
+				dataPlane++
+				_, err := Inject(mappedController(t, scheme, false), class, rng.New(1))
+				if !errors.Is(err, ErrNoTarget) {
+					t.Errorf("%v/%s on unwritten pages: %v, want ErrNoTarget", scheme, class, err)
+				}
+			}
+			if _, err := Inject(mappedController(t, scheme, true), class, rng.New(1)); err != nil {
+				t.Errorf("%v/%s on written pages: %v", scheme, class, err)
+			}
+		}
+		if dataPlane != 4 {
+			t.Errorf("%v: %d data-plane classes outside LiveClasses, want 4", scheme, dataPlane)
 		}
 	}
 }

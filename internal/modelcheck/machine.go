@@ -26,7 +26,6 @@ import (
 // of cache history, which keeps the state fingerprint sound.
 type machine struct {
 	opts  Options
-	cfg   *config.Config
 	ctl   *secmem.Controller
 	audit *telemetry.Audit
 
@@ -44,7 +43,6 @@ func newMachine(opts Options, cfg *config.Config) (*machine, error) {
 	}
 	m := &machine{
 		opts:   opts,
-		cfg:    cfg,
 		ctl:    ctl,
 		audit:  telemetry.NewAudit(),
 		frames: osmodel.NewFrameAllocator(0, layout.PFN(opts.Frames)),
@@ -318,7 +316,12 @@ func (m *machine) checkInvariants() *Violation {
 	if err := m.ctl.IvLeague().CheckNFLUnique(); err != nil {
 		return &Violation{Kind: ViolationNFL, Detail: err.Error(), Err: err}
 	}
-	return m.checkRecovery()
+	// Persist→Recover byte equality at this state, which exploration
+	// therefore checks at every reachable crash point within the bounds.
+	if _, err := m.ctl.CheckRecovery(); err != nil {
+		return &Violation{Kind: ViolationRecovery, Detail: err.Error(), Err: err}
+	}
+	return nil
 }
 
 // checkIsolation asserts (a) no metadata node was touched by two domains
@@ -360,45 +363,6 @@ func (m *machine) checkIsolation() *Violation {
 		}
 	}
 	return nil
-}
-
-// checkRecovery persists the machine's off-chip image, recovers a cold
-// controller from it, and requires the recovered state digest to equal the
-// live one byte-for-byte — the Phoenix-style crash guarantee at this
-// state, which exploration therefore proves for every reachable crash
-// point within the bounds.
-func (m *machine) checkRecovery() *Violation {
-	img, err := m.ctl.Persist()
-	if err != nil {
-		return &Violation{Kind: ViolationRecovery, Detail: "persist: " + err.Error(), Err: err}
-	}
-	rec, err := secmem.Recover(m.cfg, img)
-	if err != nil {
-		return &Violation{Kind: ViolationRecovery, Detail: "recover: " + err.Error(), Err: err}
-	}
-	live, recovered := m.ctl.StateDigest(), rec.StateDigest()
-	if !bytes.Equal(live, recovered) {
-		return &Violation{
-			Kind:   ViolationRecovery,
-			Detail: fmt.Sprintf("recovered digest differs from live machine (%d vs %d bytes): %s", len(recovered), len(live), digestDiff(live, recovered)),
-		}
-	}
-	return nil
-}
-
-// digestDiff returns the first differing line of two canonical digests.
-func digestDiff(a, b []byte) string {
-	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("line %d: live %q != recovered %q", i, al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("line-count mismatch: %d vs %d", len(al), len(bl))
 }
 
 // fingerprint canonically hashes everything that determines the machine's

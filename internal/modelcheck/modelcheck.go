@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -122,6 +123,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Schemes returns the schemes the checker explores, in report order. The
+// BV ablations have no recovery support; the static schemes have no
+// TreeLings to isolate.
+func Schemes() []config.Scheme {
+	return []config.Scheme{config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro}
+}
+
+// CheckScheme rejects a scheme the checker cannot explore.
+func CheckScheme(s config.Scheme) error {
+	if slices.Contains(Schemes(), s) {
+		return nil
+	}
+	return fmt.Errorf("modelcheck: scheme %v is not checkable (want basic, invert or pro)", s)
+}
+
 // smallConfig builds the downsized machine configuration: binary trees of
 // height 3 (8 pages per TreeLing), a DRAM just covered by the provisioned
 // TreeLings, and hotpage parameters low enough that Pro migration fires
@@ -213,12 +229,8 @@ type Result struct {
 // any worker count.
 func Explore(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	switch opts.Scheme {
-	case config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro:
-	default:
-		// The BV ablations have no recovery support; the static schemes
-		// have no TreeLings to isolate.
-		return nil, fmt.Errorf("modelcheck: scheme %v is not checkable (want Basic/Invert/Pro)", opts.Scheme)
+	if err := CheckScheme(opts.Scheme); err != nil {
+		return nil, err
 	}
 	cfg, err := smallConfig(opts)
 	if err != nil {

@@ -182,6 +182,7 @@ func TestScriptRoundTrip(t *testing.T) {
 func TestParseScriptErrors(t *testing.T) {
 	for _, bad := range []string{
 		"scheme bvv1\n",
+		"scheme baseline\n",
 		"frobnicate 1\n",
 		"map 1\n",
 		"fault cosmic-ray\n",

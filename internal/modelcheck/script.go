@@ -41,19 +41,6 @@ func schemeToken(s config.Scheme) string {
 	}
 }
 
-// SchemeFromToken resolves a script/CLI scheme token.
-func SchemeFromToken(tok string) (config.Scheme, error) {
-	switch strings.ToLower(tok) {
-	case "basic", "ivleague-basic":
-		return config.SchemeIvLeagueBasic, nil
-	case "invert", "ivleague-invert":
-		return config.SchemeIvLeagueInvert, nil
-	case "pro", "ivleague-pro":
-		return config.SchemeIvLeaguePro, nil
-	}
-	return 0, fmt.Errorf("modelcheck: unknown scheme %q (want basic, invert or pro)", tok)
-}
-
 // FormatScript renders a trace and the options that scope it as a
 // replayable script.
 func FormatScript(opts Options, t Trace) string {
@@ -97,7 +84,10 @@ func ParseScript(r io.Reader) (Options, Trace, error) {
 			if len(f) != 2 {
 				return fail("want 'scheme <name>'")
 			}
-			s, err := SchemeFromToken(f[1])
+			s, err := config.ParseScheme(f[1])
+			if err == nil {
+				err = CheckScheme(s)
+			}
 			if err != nil {
 				return Options{}, nil, err
 			}

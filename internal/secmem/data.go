@@ -207,18 +207,6 @@ func (c *Controller) ReadBlock(req AccessRequest, dst []byte) (AccessResult, err
 	return res, nil
 }
 
-// CorruptData flips a byte of a block's off-chip ciphertext (a physical
-// data-tampering attack); the next ReadBlock fails its MAC check.
-func (c *Controller) CorruptData(pfn layout.PFN, block int) error {
-	p := c.dataMem().page(pfn)
-	if p == nil || !p.isPresent(block) {
-		addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
-		return fmt.Errorf("secmem: no data at %#x to corrupt", addr)
-	}
-	p.blocks[block].ct[0] ^= 0xff
-	return nil
-}
-
 // BlockSnapshot captures a block's complete off-chip state (ciphertext,
 // MAC and counter block) for a later replay attack.
 type BlockSnapshot struct {
@@ -238,7 +226,7 @@ func (c *Controller) SnapshotBlock(pfn layout.PFN, block int) (*BlockSnapshot, e
 	p := c.dataMem().page(pfn)
 	if p == nil || !p.isPresent(block) {
 		addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
-		return nil, fmt.Errorf("secmem: no data at %#x to snapshot", addr)
+		return nil, fmt.Errorf("%w: no data at %#x to snapshot", ErrNoTamperTarget, addr)
 	}
 	snap := c.counters.Snapshot(pfn)
 	return &BlockSnapshot{pfn: pfn, block: block, st: p.blocks[block],

@@ -158,6 +158,40 @@ func Recover(cfg *config.Config, img *Image, opts ...Option) (*Controller, error
 	return c, nil
 }
 
+// CheckRecovery is the crash-recovery check: it persists the controller,
+// recovers a cold controller from the image and requires the two state
+// digests to be byte-identical. It returns the recovered controller for
+// callers that go on to exercise it. A torn image fails with the
+// *tree.IntegrityError Recover raised; a digest mismatch names the first
+// differing line.
+func (c *Controller) CheckRecovery() (*Controller, error) {
+	img, err := c.Persist()
+	if err != nil {
+		return nil, fmt.Errorf("secmem: persist: %w", err)
+	}
+	rec, err := Recover(&c.cfg, img)
+	if err != nil {
+		return nil, fmt.Errorf("secmem: recover: %w", err)
+	}
+	if live, got := c.StateDigest(), rec.StateDigest(); !bytes.Equal(live, got) {
+		return nil, fmt.Errorf("secmem: recovered state differs from the live controller (%s)", DigestDiff(live, got))
+	}
+	return rec, nil
+}
+
+// DigestDiff locates the first differing line of two state digests, for
+// readable failure messages.
+func DigestDiff(a, b []byte) string {
+	la := bytes.Split(bytes.TrimSuffix(a, []byte("\n")), []byte("\n"))
+	lb := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			return fmt.Sprintf("line %d: %q vs %q", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("lengths differ: %d vs %d lines", len(la), len(lb))
+}
+
 // StateDigest returns a canonical dump of the controller's persisted and
 // architectural state — counters, data plane, page tables, tree images
 // and roots, and the domain controller's digest — excluding everything

@@ -94,7 +94,7 @@ func TestTamperDetectionViaMAC(t *testing.T) {
 		c.CreateDomain(1)
 		mapPage(t, c, 1, 5, 5)
 		c.WriteBlock(AccessRequest{Now: 1, Domain: 1, VPN: 5, PFN: 5}, make([]byte, 64))
-		if err := c.CorruptData(5, 0); err != nil {
+		if err := c.FlipDataBit(5, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := readBlock(c, AccessRequest{Now: 2, Domain: 1, VPN: 5, PFN: 5}); !errors.Is(err, ErrMACMismatch) {

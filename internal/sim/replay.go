@@ -32,9 +32,6 @@ func (r *replaySource) Next() workload.Event {
 // InitInstr implements EventSource: replay has no init sweep.
 func (r *replaySource) InitInstr() uint64 { return 0 }
 
-// Drained reports whether the source has replayed every record.
-func (r *replaySource) Drained() bool { return r.pos >= len(r.events) }
-
 // ReplayMix builds a machine for the mix (processes, domains, caches) but
 // drives its threads from a recorded trace instead of the synthetic
 // generators. The trace must have been recorded from a machine with the
