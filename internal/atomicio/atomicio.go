@@ -67,9 +67,6 @@ func (f *File) Write(p []byte) (int, error) {
 	return f.file.Write(p)
 }
 
-// Name returns the final destination path the writer targets.
-func (f *File) Name() string { return f.path }
-
 // Commit syncs the temporary file and renames it over the destination.
 // After Commit the File must not be written to again.
 func (f *File) Commit() error {

@@ -8,17 +8,17 @@
 //   - Randomized indexing (Randomized in the config): a keyed hash maps a
 //     line address to its set, standing in for MIRAGE-style randomized
 //     caches that the baseline integrates to defeat conflict-based attacks.
-//   - Way partitioning/locking: a number of ways per set can be reserved so
-//     that pinned lines (e.g. the tree levels above TreeLing roots) are
-//     never evicted by normal fills, matching IvLeague's root locking.
+//   - Way partitioning: a number of ways per set can be reserved so that
+//     normal fills never use them, modelling the capacity IvLeague's root
+//     locking takes for the tree levels above the TreeLing roots.
 //
 // The replacement state lives in one flat uint64 arena with each set's
 // block laid out contiguously: the way tags first, then the last-use
-// stamps packed two-per-word as uint32 halves, then one word of
-// dirty/locked bit masks. The tag-match loop — the hottest loop in the
-// whole simulator — thus scans ways*8 contiguous bytes, the LRU victim
-// scan stays inside the same one or two host cache lines, and invalid
-// ways carry a sentinel tag so the hit path needs no validity check.
+// stamps packed two-per-word as uint32 halves, then one word of dirty
+// bits. The tag-match loop — the hottest loop in the whole simulator —
+// thus scans ways*8 contiguous bytes, the LRU victim scan stays inside
+// the same one or two host cache lines, and invalid ways carry a sentinel
+// tag so the hit path needs no validity check.
 package cache
 
 import (
@@ -57,13 +57,13 @@ type Cache struct {
 	ways      int
 	stride    int      // uint64 words per set block (64-byte aligned)
 	luOff     int      // word offset of the packed last-use stamps
-	flagsOff  int      // word offset of the dirty/locked mask word
+	flagsOff  int      // word offset of the dirty-bit word
 	data      []uint64 // nsets * stride words
 	setMask   uint64
 	lineShift uint
 	key       uint64 // randomized-indexing key
 	tick      uint64
-	reserved  int // ways [0,reserved) hold only locked lines
+	reserved  int // ways [0,reserved) never take a fill
 
 	Hits      stats.Counter
 	Misses    stats.Counter
@@ -72,7 +72,7 @@ type Cache struct {
 
 // New builds a cache from its configuration. seed keys the randomized index
 // hash (ignored for non-randomized caches). reservedWays ways per set are
-// set aside for locked lines; pass 0 for a normal cache. The geometry is
+// held back from fills; pass 0 for a normal cache. The geometry is
 // validated up front so every later access is total.
 func New(cfg config.CacheConfig, seed uint64, reservedWays int) (*Cache, error) {
 	if err := cfg.Validate("cache"); err != nil {
@@ -227,7 +227,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	tags[victim] = lineAddr
 	c.setLastUse(base, victim, now)
-	*flags &^= dirtyBit | dirtyBit<<32 // clear dirty + locked
+	*flags &^= dirtyBit
 	if write {
 		*flags |= dirtyBit
 	}
@@ -246,8 +246,8 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Invalidate removes addr from the cache (even if locked), reporting whether
-// it was present and whether it was dirty.
+// Invalidate removes addr from the cache, reporting whether it was present
+// and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	lineAddr := addr >> c.lineShift
 	base := int(c.index(lineAddr)) * c.stride
@@ -257,40 +257,11 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 			present, dirty = true, c.data[base+c.flagsOff]&bit != 0
 			c.data[base+i] = invalidTag
 			c.setLastUse(base, i, 0)
-			c.data[base+c.flagsOff] &^= bit | bit<<32
+			c.data[base+c.flagsOff] &^= bit
 			return
 		}
 	}
 	return
-}
-
-// Lock pins addr into one of the reserved ways of its set. Locked lines are
-// immune to normal eviction. It returns an error if the cache was built
-// without reserved ways or the set's reserved ways are all occupied by
-// other locked lines: root locking is a static provisioning decision that
-// must be sized correctly by the caller, and an undersized reservation must
-// surface instead of silently dropping the pin.
-func (c *Cache) Lock(addr uint64) error {
-	if c.reserved == 0 {
-		return fmt.Errorf("cache: Lock %#x on a cache without reserved ways", addr)
-	}
-	now := c.tickNext()
-	lineAddr := addr >> c.lineShift
-	base := int(c.index(lineAddr)) * c.stride
-	for i := 0; i < c.reserved; i++ {
-		if c.data[base+i] == lineAddr {
-			return nil // already locked
-		}
-	}
-	for i := 0; i < c.reserved; i++ {
-		if c.data[base+i] == invalidTag {
-			c.data[base+i] = lineAddr
-			c.setLastUse(base, i, now)
-			c.data[base+c.flagsOff] |= 1 << uint(32+i)
-			return nil
-		}
-	}
-	return fmt.Errorf("cache: reserved ways exhausted pinning %#x; increase RootLockWays or reduce pinned lines", addr)
 }
 
 // Flush invalidates every line, returning the number of dirty lines dropped.
@@ -313,13 +284,8 @@ func (c *Cache) Flush() int {
 	return dirty
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	return stats.Ratio(c.Hits.Value(), c.Hits.Value()+c.Misses.Value())
-}
-
-// ResetStats clears the counters but keeps cache contents (used at the end
-// of warmup).
+// ResetStats clears the counters but keeps cache contents. Registry.Reset
+// does the same for a registered cache.
 func (c *Cache) ResetStats() {
 	c.Hits.Reset()
 	c.Misses.Reset()

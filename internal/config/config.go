@@ -179,7 +179,6 @@ type CryptoConfig struct {
 	AESLatency  int // counter-mode pad generation, cycles
 	MACLatency  int // MAC check/generate, cycles
 	HashLatency int // one tree-node hash, cycles
-	MACBytes    int // MAC size per block
 }
 
 // SecureMemConfig describes the scheme-independent secure-memory metadata.
@@ -187,7 +186,6 @@ type SecureMemConfig struct {
 	CounterCache CacheConfig // encryption-counter cache
 	TreeCache    CacheConfig // integrity-tree metadata cache
 	TreeArity    int         // hashes per tree node (8-ary BMT)
-	MajorBits    int         // major counter width
 	MinorBits    int         // minor counter width
 }
 
@@ -290,12 +288,11 @@ func Default() Config {
 			RowMissLatency:  160,
 			QueuePenalty:    4,
 		},
-		Crypto: CryptoConfig{AESLatency: 20, MACLatency: 20, HashLatency: 20, MACBytes: 8},
+		Crypto: CryptoConfig{AESLatency: 20, MACLatency: 20, HashLatency: 20},
 		SecureMem: SecureMemConfig{
 			CounterCache: CacheConfig{SizeBytes: 256 << 10, Ways: 8, LineBytes: BlockBytes, HitLatency: 5, Randomized: true},
 			TreeCache:    CacheConfig{SizeBytes: 256 << 10, Ways: 8, LineBytes: BlockBytes, HitLatency: 5, Randomized: true},
 			TreeArity:    8,
-			MajorBits:    64,
 			MinorBits:    7,
 		},
 		IvLeague: IvLeagueConfig{

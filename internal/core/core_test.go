@@ -7,6 +7,7 @@ import (
 
 	"ivleague/internal/config"
 	"ivleague/internal/layout"
+	"ivleague/internal/stats"
 	"ivleague/internal/tree"
 )
 
@@ -489,7 +490,8 @@ func TestNFLBHitRateHighForSequentialAlloc(t *testing.T) {
 		c.AllocPage(1, layout.PFN(i), &ops)
 		ops.Reset()
 	}
-	if hr := c.NFLBOf(1).HitRate(); hr < 0.9 {
+	b := c.NFLBOf(1)
+	if hr := stats.Ratio(b.Hits.Value(), b.Hits.Value()+b.Misses.Value()); hr < 0.9 {
 		t.Fatalf("NFLB hit rate %v too low for sequential allocation", hr)
 	}
 }

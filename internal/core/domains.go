@@ -633,31 +633,14 @@ func (c *Controller) Utilization() (util float64, untracked int) {
 	return 1 - float64(leaked)/float64(totalSlots), leaked
 }
 
-// ResetStats clears the controller's event counters, including every
-// domain's NFLB hit/miss counters, without touching assignment state
-// (end-of-warmup semantics; ResetStats ≡ fresh construction for the
-// statistics accessors).
-func (c *Controller) ResetStats() {
-	c.Assignments.Reset()
-	c.Untracked.Reset()
-	c.Conversions.Reset()
-	c.Migrations.Reset()
-	c.MigrationsBack.Reset()
-	c.AllocFailures.Reset()
-	for _, id := range stats.SortedKeys(c.domains) {
-		nflb := c.domains[id].nflb
-		nflb.Hits.Reset()
-		nflb.Misses.Reset()
-	}
-}
-
 // DomainIDs returns the live domain IDs in ascending order.
 func (c *Controller) DomainIDs() []int { return stats.SortedKeys(c.domains) }
 
 // RegisterMetrics registers the controller's event counters, a sampler
 // contributing every live domain's NFLB hit/miss counts (the domain set
 // can grow after registration, so these are sampled rather than bound),
-// and the Figure 17b utilization gauges.
+// a reset hook that zeroes those sampled counts, and the Figure 17b
+// utilization gauges.
 func (c *Controller) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".assignments", &c.Assignments)
 	r.RegisterCounter(prefix+".untracked_slots", &c.Untracked)
@@ -670,6 +653,13 @@ func (c *Controller) RegisterMetrics(r *telemetry.Registry, prefix string) {
 			nflb := c.domains[id].nflb
 			s.Counter(fmt.Sprintf("%s.nflb.d%d.hits", prefix, id), nflb.Hits.Value())
 			s.Counter(fmt.Sprintf("%s.nflb.d%d.misses", prefix, id), nflb.Misses.Value())
+		}
+	})
+	r.RegisterReset(func() {
+		for _, id := range stats.SortedKeys(c.domains) {
+			nflb := c.domains[id].nflb
+			nflb.Hits.Reset()
+			nflb.Misses.Reset()
 		}
 	})
 	r.RegisterGauge(prefix+".utilization", func() float64 {

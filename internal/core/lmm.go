@@ -43,9 +43,6 @@ func (l *LMMCache) Invalidate(domain int, vpn layout.VPN) {
 	l.c.Invalidate(lmmAddr(domain, vpn))
 }
 
-// HitRate returns the cache hit rate so far.
-func (l *LMMCache) HitRate() float64 { return l.c.HitRate() }
-
 // RegisterMetrics registers the underlying cache's counters.
 func (l *LMMCache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	l.c.RegisterMetrics(r, prefix)

@@ -361,11 +361,6 @@ func (b *NFLB) Access(lay *layout.Layout, tl, block int, write bool, ops *OpList
 	return false
 }
 
-// HitRate returns the buffer hit rate so far.
-func (b *NFLB) HitRate() float64 {
-	return stats.Ratio(b.Hits.Value(), b.Hits.Value()+b.Misses.Value())
-}
-
 // FlushDomain writes back and drops every entry (domain teardown).
 func (b *NFLB) FlushDomain(lay *layout.Layout, ops *OpList) {
 	for i := range b.entries {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ivleague/internal/config"
 	"ivleague/internal/layout"
 )
 
@@ -269,8 +268,8 @@ func TestNFLBEvictionWritesBackDirty(t *testing.T) {
 	if !foundWB {
 		t.Fatal("dirty NFLB eviction produced no write-back")
 	}
-	if b.HitRate() != 0 {
-		t.Fatalf("hit rate %v after all misses", b.HitRate())
+	if b.Hits.Value() != 0 {
+		t.Fatalf("%d hits after all misses", b.Hits.Value())
 	}
 	// Re-access a resident block: hit, no ops.
 	ops.Reset()
@@ -295,7 +294,7 @@ func TestHotTrackerMisraGries(t *testing.T) {
 	// One-shot keys should decrement, not evict, key 1.
 	tr.observe(3)
 	tr.observe(4)
-	if !tr.contains(1) {
+	if tr.find(1) < 0 {
 		t.Fatal("hot key evicted by one-shot noise")
 	}
 	if !tr.atThreshold(1) {
@@ -315,17 +314,6 @@ func TestHotTrackerClearInterval(t *testing.T) {
 	if tr.atThreshold(1) {
 		t.Fatal("counter survived the clear interval")
 	}
-}
-
-func TestHotTrackerRemove(t *testing.T) {
-	tr := newHotTracker(4, 8, 2, 0)
-	tr.observe(9)
-	tr.remove(9)
-	if tr.contains(9) {
-		t.Fatal("removed key still tracked")
-	}
-	tr.remove(9) // idempotent
-	_ = config.BlockBytes
 }
 
 func TestNFLSpaceClearSlotFindsRepurposedEntry(t *testing.T) {

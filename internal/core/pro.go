@@ -103,19 +103,6 @@ func (t *hotTracker) observe(pfn uint64) (hot bool, victim uint64) {
 	return t.thresh == 1, victim
 }
 
-// remove drops pfn from the tracker (page freed).
-func (t *hotTracker) remove(pfn uint64) {
-	if i := t.find(pfn); i >= 0 {
-		t.entries[i] = hotEntry{}
-		t.keys[i] = noKey
-	}
-}
-
-// contains reports whether pfn is currently tracked.
-func (t *hotTracker) contains(pfn uint64) bool {
-	return t.find(pfn) >= 0
-}
-
 // atThreshold reports whether key's counter has reached the hot threshold.
 func (t *hotTracker) atThreshold(key uint64) bool {
 	if i := t.find(key); i >= 0 {

@@ -115,17 +115,3 @@ func NodeHash(parts ...uint64) uint64 {
 	h ^= h >> 32
 	return h
 }
-
-// HashBytes hashes an arbitrary byte slice into 64 bits with the same
-// non-cryptographic construction as NodeHash.
-func HashBytes(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h
-}

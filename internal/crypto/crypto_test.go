@@ -134,12 +134,3 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHashBytes(t *testing.T) {
-	if HashBytes([]byte("a")) == HashBytes([]byte("b")) {
-		t.Fatal("trivial collision")
-	}
-	if HashBytes(nil) != HashBytes([]byte{}) {
-		t.Fatal("nil and empty differ")
-	}
-}

@@ -68,9 +68,6 @@ func NewStore(minorBits int) *Store {
 	}
 }
 
-// MinorBits returns the configured minor-counter width.
-func (s *Store) MinorBits() int { return s.minorBits }
-
 // peek returns the live block for pfn, or nil.
 func (s *Store) peek(pfn layout.PFN) *Block {
 	ci := int(pfn >> ctrChunkShift)
@@ -213,13 +210,6 @@ func (s *Store) Clone() *Store {
 		c.chunks[ci] = &cp
 	}
 	return c
-}
-
-// ResetStats clears the increment/overflow counters, keeping the counter
-// blocks themselves (they are architectural state, not statistics).
-func (s *Store) ResetStats() {
-	s.Increments.Reset()
-	s.Overflows.Reset()
 }
 
 // RegisterMetrics registers the store's counters with a telemetry registry.

@@ -173,51 +173,15 @@ func (m *Model) Access(now uint64, addr uint64, write bool) int {
 	return lat
 }
 
-// Accesses returns the total number of read+write transactions so far.
-func (m *Model) Accesses() uint64 { return m.Reads.Value() + m.Writes.Value() }
-
-// MeanReadLatency returns the average read latency observed.
-func (m *Model) MeanReadLatency() float64 {
-	return stats.Ratio(m.TotalLatency.Value(), m.Reads.Value())
-}
-
-// RowHitRate returns rowHits/(rowHits+rowMisses).
-func (m *Model) RowHitRate() float64 {
-	return stats.Ratio(m.RowHits.Value(), m.RowHits.Value()+m.RowMisses.Value())
-}
-
-// ResetStats clears the statistics counters but keeps bank state: the
-// end-of-warmup boundary wants clean numbers over a warm memory system.
-func (m *Model) ResetStats() {
-	m.Reads.Reset()
-	m.Writes.Reset()
-	m.RowHits.Reset()
-	m.RowMisses.Reset()
-	m.TotalLatency.Reset()
-}
-
 // RegisterMetrics registers the model's counters with a telemetry
 // registry; Snapshot ratios rebuild the mean-read-latency and row-hit-rate
-// metrics from them.
+// metrics from them. Registry.Reset zeroes the counters and keeps bank
+// state: the end-of-warmup boundary wants clean numbers over a warm memory
+// system.
 func (m *Model) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".reads", &m.Reads)
 	r.RegisterCounter(prefix+".writes", &m.Writes)
 	r.RegisterCounter(prefix+".row_hits", &m.RowHits)
 	r.RegisterCounter(prefix+".row_misses", &m.RowMisses)
 	r.RegisterCounter(prefix+".read_latency", &m.TotalLatency)
-}
-
-// Reset returns the model to its just-constructed state: statistics,
-// per-bank open-row/busy state and queue pressure all cleared. Crash
-// recovery uses this — DRAM timing state does not survive power loss, so a
-// recovered machine must start from cold banks, not the crashed run's.
-func (m *Model) Reset() {
-	m.ResetStats()
-	for i := range m.banks {
-		m.banks[i] = bank{}
-	}
-	for i := range m.queueLen {
-		m.queueLen[i] = 0
-		m.queueDecay[i] = 0
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/telemetry"
 )
 
 func testCfg() config.DRAMConfig {
@@ -87,20 +88,29 @@ func TestChannelInterleavingByBlock(t *testing.T) {
 
 func TestStatsAndReset(t *testing.T) {
 	m := New(testCfg())
+	reg := telemetry.NewRegistry()
+	m.RegisterMetrics(reg, "dram")
 	m.Access(0, 0, false)
 	m.Access(100, 64, false)
-	if m.Accesses() != 2 {
-		t.Fatalf("accesses %d", m.Accesses())
+	snap := reg.Snapshot()
+	if got := snap.Counter("dram.reads"); got != 2 {
+		t.Fatalf("reads %d, want 2", got)
 	}
-	if m.MeanReadLatency() <= 0 {
+	if snap.Ratio("dram.read_latency", "dram.reads") <= 0 {
 		t.Fatal("mean latency not tracked")
 	}
-	m.ResetStats()
-	if m.Accesses() != 0 || m.MeanReadLatency() != 0 {
-		t.Fatal("reset failed")
+	reg.Reset()
+	snap = reg.Snapshot()
+	for _, name := range snap.CounterNames() {
+		if v := snap.Counter(name); v != 0 {
+			t.Fatalf("%s = %d after Reset, want 0", name, v)
+		}
 	}
-	if m.RowHitRate() != 0 {
-		t.Fatal("row hit rate not reset")
+	// Reset clears statistics only: the row opened by the first access is
+	// still open, so reading it again is a row hit.
+	m.Access(10_000, 0, false)
+	if m.RowHits.Value() != 1 || m.RowMisses.Value() != 0 {
+		t.Fatalf("row hits %d, misses %d after Reset; bank state was lost", m.RowHits.Value(), m.RowMisses.Value())
 	}
 }
 

@@ -105,9 +105,6 @@ func (f *FrameAllocator) WriteState(w io.Writer) {
 		f.lo, f.hi, f.next, f.inUse, f.free)
 }
 
-// Capacity returns the total number of frames managed.
-func (f *FrameAllocator) Capacity() uint64 { return uint64(f.hi - f.lo) }
-
 // Process is one running program: an IV domain with a page table. Threads
 // of the same process share the Process (same domain).
 type Process struct {

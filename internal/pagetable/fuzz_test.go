@@ -8,11 +8,12 @@ import (
 
 // FuzzPageTableMapUnmap drives the page table with an arbitrary op
 // sequence decoded from the fuzz input. The contract under test: misuse
-// (double map, unmap/SetLeafID of absent VPNs) returns errors or false,
+// (double map, unmap or lookup of absent VPNs) returns errors, false or nil,
 // never panics, and the table's mapped count always matches a shadow map.
 func FuzzPageTableMapUnmap(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x81, 0x01})
 	f.Add([]byte{0xff, 0xff, 0x00, 0x40, 0x40})
+	f.Add([]byte{0x01, 0xc1, 0x81, 0xc1}) // map, look up, unmap, look up
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pt := New([]uint{9, 9, 9, 9})
@@ -45,10 +46,14 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 					t.Fatalf("unmap(%#x) returned pfn %d, want %d", vpn, old.PFN, want)
 				}
 				delete(shadow, vpn)
-			default: // SetLeafID
-				err := pt.SetLeafID(layout.VPN(vpn), uint64(b))
-				if _, mapped := shadow[vpn]; mapped != (err == nil) {
-					t.Fatalf("SetLeafID(%#x) err=%v, shadow mapped=%v", vpn, err, mapped)
+			default: // lookup
+				pte := pt.Lookup(layout.VPN(vpn))
+				want, mapped := shadow[vpn]
+				if mapped != (pte != nil) {
+					t.Fatalf("lookup(%#x) = %+v, shadow mapped=%v", vpn, pte, mapped)
+				}
+				if mapped && uint64(pte.PFN) != want {
+					t.Fatalf("lookup(%#x) returned pfn %d, want %d", vpn, pte.PFN, want)
 				}
 			}
 			if pt.Mapped() != uint64(len(shadow)) {

@@ -1,7 +1,9 @@
 // Package pagetable implements the multi-level radix page table and TLB
 // model. IvLeague extends the last-level PTE with a 64-bit Leaf ID field
 // (the Leaf Mapping Metadata, LMM), which halves the entries per PTE page
-// — both layouts from Figure 9 are supported.
+// — both layouts from Figure 9 are supported. Only the geometry is modelled
+// here: the leaf IDs themselves live in the secure memory controller's
+// per-frame metadata (internal/secmem).
 package pagetable
 
 import (
@@ -14,7 +16,6 @@ import (
 // PTE is a (possibly extended) page-table entry.
 type PTE struct {
 	PFN     layout.PFN
-	LeafID  uint64 // LMM: the TreeLing slot verifying this page (IvLeague)
 	Present bool
 }
 
@@ -147,23 +148,13 @@ func (t *Table) VPNs() []layout.VPN {
 }
 
 // Lookup returns a pointer to the PTE for vpn, or nil if unmapped. The
-// pointer stays valid until Unmap; callers may update LeafID through it.
+// pointer stays valid until Unmap.
 func (t *Table) Lookup(vpn layout.VPN) *PTE {
 	pte := t.walk(vpn, false)
 	if pte == nil || !pte.Present {
 		return nil
 	}
 	return pte
-}
-
-// SetLeafID updates the LMM field of a mapped page.
-func (t *Table) SetLeafID(vpn layout.VPN, leafID uint64) error {
-	pte := t.Lookup(vpn)
-	if pte == nil {
-		return fmt.Errorf("pagetable: SetLeafID on unmapped vpn %#x", uint64(vpn))
-	}
-	pte.LeafID = leafID
-	return nil
 }
 
 // invalidVPN marks an empty TLB way. VPNs are 36-bit, so the all-ones
@@ -268,9 +259,4 @@ func (t *TLB) Invalidate(vpn layout.VPN) bool {
 		}
 	}
 	return false
-}
-
-// HitRate returns the TLB hit rate so far.
-func (t *TLB) HitRate() float64 {
-	return stats.Ratio(t.Hits.Value(), t.Hits.Value()+t.Misses.Value())
 }

@@ -38,13 +38,6 @@ func TestDoubleMapErrors(t *testing.T) {
 	}
 }
 
-func TestSetLeafIDUnmappedErrors(t *testing.T) {
-	pt := New(IvLeagueLevels)
-	if err := pt.SetLeafID(9, 1); err == nil {
-		t.Fatal("SetLeafID on unmapped vpn did not return an error")
-	}
-}
-
 func TestBadLevelWidthsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -52,15 +45,6 @@ func TestBadLevelWidthsPanic(t *testing.T) {
 		}
 	}()
 	New([]uint{9, 9, 9})
-}
-
-func TestSetLeafID(t *testing.T) {
-	pt := New(IvLeagueLevels)
-	pt.Map(7, 3)
-	pt.SetLeafID(7, 0xfeed)
-	if pt.Lookup(7).LeafID != 0xfeed {
-		t.Fatal("LeafID not stored")
-	}
 }
 
 func TestDistinctVPNsNoAliasing(t *testing.T) {
@@ -111,8 +95,8 @@ func TestTLBHitMiss(t *testing.T) {
 	if !hit || pfn != 77 {
 		t.Fatal("TLB miss after insert")
 	}
-	if tlb.HitRate() != 0.5 {
-		t.Fatalf("hit rate %v", tlb.HitRate())
+	if tlb.Hits.Value() != 1 || tlb.Misses.Value() != 1 {
+		t.Fatalf("hits %d, misses %d, want 1 and 1", tlb.Hits.Value(), tlb.Misses.Value())
 	}
 }
 

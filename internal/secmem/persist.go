@@ -50,9 +50,6 @@ type Image struct {
 	core      *core.Image
 }
 
-// Scheme returns the scheme the image was captured under.
-func (img *Image) Scheme() config.Scheme { return img.scheme }
-
 // Persist captures the controller's persisted (off-chip) state. It
 // requires functional mode: only the functional layer maintains the real
 // metadata a crash image consists of.

@@ -316,6 +316,18 @@ func (c *Controller) SlotOf(pfn layout.PFN) (core.SlotID, bool) {
 	return pm.slot, true
 }
 
+// Owner returns the domain and VPN a frame is mapped to; ok is false while
+// the frame is not mapped (never mapped, unmapped, or its map rejected).
+//
+//ivlint:hotpath
+func (c *Controller) Owner(pfn layout.PFN) (domain int, vpn layout.VPN, ok bool) {
+	pm := c.pages.get(pfn)
+	if pm == nil || !pm.mapped {
+		return 0, 0, false
+	}
+	return int(pm.dom), pm.vpn, true
+}
+
 // Functional reports whether the functional crypto/integrity layer is on.
 func (c *Controller) Functional() bool { return c.functional }
 
@@ -413,9 +425,10 @@ func (c *Controller) SetPhaseTimers(t *telemetry.PhaseTimers) { c.phases = t }
 // RegisterMetrics registers every statistic the controller and its
 // subcomponents maintain — DRAM, the metadata caches, the counter store,
 // the domain controller (with per-domain NFLB counters), the LMM cache,
-// the functional trees and the per-domain path-length histograms — and a
-// reset hook equivalent to ResetStats, so Registry.Reset is the single
-// warmup boundary and a new stat source cannot be forgotten.
+// the functional trees and the per-domain path-length histograms — so
+// Registry.Reset is the single warmup boundary. The registry zeroes the
+// counters itself; the controller's reset hook drops the sampled
+// histograms.
 func (c *Controller) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".data_reads", &c.DataReads)
 	r.RegisterCounter(prefix+".data_writes", &c.DataWrites)
@@ -449,7 +462,7 @@ func (c *Controller) RegisterMetrics(r *telemetry.Registry, prefix string) {
 			s.Gauge(base+".mean", h.Mean())
 		}
 	})
-	r.RegisterReset(c.ResetStats)
+	r.RegisterReset(func() { c.PathLen = make(map[int]*stats.Histogram) })
 }
 
 // pathHist returns the per-domain verification path histogram.
@@ -460,39 +473,4 @@ func (c *Controller) pathHist(domain int) *stats.Histogram {
 		c.PathLen[domain] = h
 	}
 	return h
-}
-
-// MemAccesses returns the total DRAM transactions so far (data +
-// metadata), the Figure 19 metric.
-func (c *Controller) MemAccesses() uint64 { return c.dram.Accesses() }
-
-// ResetStats clears statistics (end of warmup) without touching state.
-// Every subsystem with stats accessors is covered — DRAM, both metadata
-// caches, the LMM cache, the counter store and the domain controller
-// (including per-domain NFLB hit/miss counters) — so post-warmup figures
-// measure only the measurement window.
-func (c *Controller) ResetStats() {
-	c.dram.ResetStats()
-	c.counterCache.ResetStats()
-	c.treeCache.ResetStats()
-	if c.lmm != nil {
-		c.lmm.Stats().ResetStats()
-	}
-	c.counters.ResetStats()
-	if c.ivc != nil {
-		c.ivc.ResetStats()
-	}
-	c.DataReads.Reset()
-	c.DataWrites.Reset()
-	c.Verifications.Reset()
-	c.Overflows.Reset()
-	c.SwapPenalties.Reset()
-	c.TamperEvents.Reset()
-	if c.forest != nil {
-		c.forest.ResetStats()
-	}
-	if c.global != nil {
-		c.global.ResetStats()
-	}
-	c.PathLen = make(map[int]*stats.Histogram)
 }

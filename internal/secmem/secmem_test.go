@@ -8,6 +8,7 @@ import (
 	"ivleague/internal/config"
 	"ivleague/internal/core"
 	"ivleague/internal/layout"
+	"ivleague/internal/telemetry"
 )
 
 func testCfg() config.Config {
@@ -280,6 +281,61 @@ func TestUnmapReleasesSlot(t *testing.T) {
 	}
 }
 
+// Owner reads a frame's owner from the page metadata, and only while the
+// frame is mapped: a never-mapped frame, an unmapped one and one whose map
+// the scheme rejected all report nothing.
+func TestOwner(t *testing.T) {
+	cfg := config.Default()
+	cfg.SecureMem.TreeArity = 2
+	cfg.IvLeague.TreeLingHeight = 3 // 8 pages per TreeLing
+	cfg.IvLeague.TreeLingCount = 2
+	cfg.IvLeague.HotRegionLeaves = 1
+	cfg.DRAM.SizeBytes = 2 * cfg.TreeLingBytes()
+	c, err := New(&cfg, config.SchemeIvLeagueBasic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.Owner(5); ok {
+		t.Fatal("never-mapped frame reports an owner")
+	}
+	for dom := 1; dom <= 2; dom++ {
+		if err := c.CreateDomain(dom); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Domain 2 takes one TreeLing, so domain 1 starves once it has filled
+	// the other.
+	mapPage(t, c, 2, 100, 0)
+	pfn := layout.PFN(1)
+	for ; ; pfn++ {
+		if uint64(pfn) >= cfg.TotalPages() {
+			t.Fatal("domain 1 mapped every frame without starving")
+		}
+		_, err := c.OnPageMap(0, 1, layout.VPN(pfn+10), pfn)
+		if errors.Is(err, core.ErrStarvation) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dom, vpn, ok := c.Owner(pfn); !ok || dom != 1 || vpn != layout.VPN(pfn+10) {
+			t.Fatalf("Owner(%d) = (%d, %d, %v), want (1, %d, true)", pfn, dom, vpn, ok, pfn+10)
+		}
+	}
+	if dom, vpn, ok := c.Owner(pfn); ok {
+		t.Fatalf("frame %d whose map was rejected reports owner (%d, %d)", pfn, dom, vpn)
+	}
+	if _, err := c.OnPageUnmap(0, 1, 11, 1); err != nil {
+		t.Fatal(err)
+	}
+	if dom, vpn, ok := c.Owner(1); ok {
+		t.Fatalf("unmapped frame 1 reports owner (%d, %d)", dom, vpn)
+	}
+	if dom, vpn, ok := c.Owner(0); !ok || dom != 2 || vpn != 100 {
+		t.Fatalf("Owner(0) = (%d, %d, %v), want (2, 100, true)", dom, vpn, ok)
+	}
+}
+
 func TestAccessUnmappedPageFails(t *testing.T) {
 	c := newCtl(t, config.SchemeIvLeagueBasic, false)
 	c.CreateDomain(1)
@@ -386,11 +442,13 @@ func TestEvictMetadataPrimitive(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	c := newCtl(t, config.SchemeIvLeagueBasic, false)
+	reg := telemetry.NewRegistry()
+	c.RegisterMetrics(reg, "secmem")
 	c.CreateDomain(1)
 	mapPage(t, c, 1, 1, 1)
 	c.Do(AccessRequest{Domain: 1, VPN: 1, PFN: 1})
-	c.ResetStats()
-	if c.DataReads.Value() != 0 || c.MemAccesses() != 0 || len(c.PathLen) != 0 {
+	reg.Reset()
+	if c.DataReads.Value() != 0 || c.dram.Reads.Value()+c.dram.Writes.Value() != 0 || len(c.PathLen) != 0 {
 		t.Fatal("stats not reset")
 	}
 	// State survives: the page still reads fine.
@@ -459,9 +517,11 @@ func statsFingerprint(c *Controller) map[string]uint64 {
 }
 
 // TestResetStatsEquivalentToFresh is the end-of-warmup contract: after
-// ResetStats, every statistics accessor must read as on a freshly
-// constructed controller — zero. Any counter added to a subsystem without
-// a matching ResetStats entry fails here by name, for every scheme.
+// Registry.Reset, every statistic must read as on a freshly constructed
+// controller — zero. statsFingerprint reads the counter fields directly,
+// so a counter added to a subsystem without being registered (or, if
+// sampled, reset by its owner's hook) fails here by name, for every
+// scheme.
 func TestResetStatsEquivalentToFresh(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -471,6 +531,8 @@ func TestResetStatsEquivalentToFresh(t *testing.T) {
 				}
 			}
 			c := newCtl(t, scheme, false)
+			reg := telemetry.NewRegistry()
+			c.RegisterMetrics(reg, "secmem")
 			for dom := 1; dom <= 2; dom++ {
 				if err := c.CreateDomain(dom); err != nil {
 					t.Fatal(err)
@@ -504,10 +566,10 @@ func TestResetStatsEquivalentToFresh(t *testing.T) {
 			if dirty < 8 {
 				t.Fatalf("traffic touched only %d stats; the fingerprint is too weak", dirty)
 			}
-			c.ResetStats()
+			reg.Reset()
 			for name, v := range statsFingerprint(c) {
 				if v != 0 {
-					t.Errorf("%v: %s = %d after ResetStats, want 0 (fresh-construction equivalence)", scheme, name, v)
+					t.Errorf("%v: %s = %d after Registry.Reset, want 0 (fresh-construction equivalence)", scheme, name, v)
 				}
 			}
 		})

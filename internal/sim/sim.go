@@ -36,64 +36,6 @@ type EventSource interface {
 	InitInstr() uint64
 }
 
-// owner records which (domain, vpn) a physical frame belongs to, so LLC
-// dirty writebacks can be attributed for the secure write path.
-type owner struct {
-	vpn    layout.VPN
-	domain int32
-	valid  bool
-}
-
-// ownerTable is a chunked PFN-indexed arena of frame owners: directory
-// chunks materialize on first touch, so the dense frame ranges of the
-// shared allocator and the sparse windows of static partitioning both
-// index in O(1) with no map hashing on the writeback hot path.
-const (
-	ownerChunkShift = 9
-	ownerChunkSize  = 1 << ownerChunkShift
-	ownerChunkMask  = ownerChunkSize - 1
-)
-
-type ownerTable struct {
-	chunks [][]owner
-}
-
-func (t *ownerTable) get(pfn layout.PFN) *owner {
-	ci := int(pfn >> ownerChunkShift)
-	if ci >= len(t.chunks) || t.chunks[ci] == nil {
-		return nil
-	}
-	return &t.chunks[ci][int(pfn&ownerChunkMask)]
-}
-
-func (t *ownerTable) set(pfn layout.PFN, domain int, vpn layout.VPN) {
-	ci := int(pfn >> ownerChunkShift)
-	for len(t.chunks) <= ci {
-		t.chunks = append(t.chunks, nil)
-	}
-	if t.chunks[ci] == nil {
-		t.chunks[ci] = make([]owner, ownerChunkSize)
-	}
-	t.chunks[ci][int(pfn&ownerChunkMask)] = owner{vpn: vpn, domain: int32(domain), valid: true}
-}
-
-func (t *ownerTable) del(pfn layout.PFN) {
-	if o := t.get(pfn); o != nil {
-		*o = owner{}
-	}
-}
-
-// forEach visits every valid owner entry in ascending pfn order.
-func (t *ownerTable) forEach(fn func(pfn layout.PFN, o owner)) {
-	for ci, chunk := range t.chunks {
-		for i := range chunk {
-			if chunk[i].valid {
-				fn(layout.PFN(ci<<ownerChunkShift|i), chunk[i])
-			}
-		}
-	}
-}
-
 // thread is one hardware context: an event source bound to a process and
 // core.
 type thread struct {
@@ -119,10 +61,6 @@ type Machine struct {
 	mem     *secmem.Controller
 	l3      *cache.Cache
 	threads []*thread
-	frames  *osmodel.FrameAllocator
-	domFr   map[int]*osmodel.FrameAllocator // static partitioning
-	over    *osmodel.FrameAllocator         // static overflow (swapped)
-	owners  ownerTable
 
 	pendingLat int
 	pendingErr error
@@ -272,15 +210,9 @@ func NewMachine(cfg *config.Config, scheme config.Scheme, mix workload.Mix, part
 	if err != nil {
 		return nil, err
 	}
-	lay := mem.Layout()
-	if scheme == config.SchemeStaticPartition {
-		m.domFr = make(map[int]*osmodel.FrameAllocator)
-		// Frames beyond all partitions (none by construction): overflow
-		// shares the last partition tail; swaps are charged by secmem.
-		m.over = osmodel.NewFrameAllocator(0, layout.PFN(lay.Pages))
-	} else {
-		m.frames = osmodel.NewFrameAllocator(0, layout.PFN(lay.Pages))
-	}
+	// One allocator over all of memory, shared by every process; static
+	// partitioning gives each domain its own over its partition instead.
+	shared := osmodel.NewFrameAllocator(0, layout.PFN(mem.Layout().Pages))
 
 	coreIdx := 0
 	for pi, prof := range mix.Procs {
@@ -288,13 +220,9 @@ func NewMachine(cfg *config.Config, scheme config.Scheme, mix workload.Mix, part
 		if err := mem.CreateDomain(domain); err != nil {
 			return nil, err
 		}
-		var fr *osmodel.FrameAllocator
+		fr := shared
 		if scheme == config.SchemeStaticPartition {
-			lo, hi := mem.PartitionRange(domain)
-			fr = osmodel.NewFrameAllocator(lo, hi)
-			m.domFr[domain] = fr
-		} else {
-			fr = m.frames
+			fr = osmodel.NewFrameAllocator(mem.PartitionRange(domain))
 		}
 		levels := pagetable.ClassicLevels
 		if scheme.IsIvLeague() {
@@ -364,7 +292,9 @@ func (m *Machine) shootdown(proc *osmodel.Process, vpn layout.VPN) {
 
 // registerMetrics wires every component's counters into one registry, so
 // Run (and external consumers via Registry) read a single snapshot instead
-// of polling components, and resetStats is one Reset call.
+// of polling components, and resetStats is one Reset call. The machine's
+// own reset hook re-snaps the per-core cycle and instret baselines; the
+// registry zeroes the cache counters itself.
 func (m *Machine) registerMetrics() {
 	m.reg = telemetry.NewRegistry()
 	m.mem.RegisterMetrics(m.reg, "secmem")
@@ -380,8 +310,6 @@ func (m *Machine) registerMetrics() {
 			return float64(t.instret - t.instret0)
 		})
 		m.reg.RegisterReset(func() {
-			t.l1.ResetStats()
-			t.l2.ResetStats()
 			t.cycles0 = t.cycles
 			t.instret0 = t.instret
 		})
@@ -410,12 +338,7 @@ func (m *Machine) registerMetrics() {
 // counters reflect the current phase (reset at the warmup boundary).
 func (m *Machine) Registry() *telemetry.Registry { return m.reg }
 
-// PhaseTimers returns the attached hot-path phase timers (nil unless
-// WithPhaseTimers was given).
-func (m *Machine) PhaseTimers() *telemetry.PhaseTimers { return m.phases }
-
 func (m *Machine) onPageMap(domain int, vpn layout.VPN, pfn layout.PFN) {
-	m.owners.set(pfn, domain, vpn)
 	lat, err := m.mem.OnPageMap(m.now(), domain, vpn, pfn)
 	m.pendingLat += lat
 	if err != nil {
@@ -429,7 +352,6 @@ func (m *Machine) onPageUnmap(domain int, vpn layout.VPN, pfn layout.PFN) {
 	if err != nil && m.pendingErr == nil {
 		m.pendingErr = err
 	}
-	m.owners.del(pfn)
 }
 
 // now approximates global time as the max per-thread cycle count.
@@ -581,17 +503,18 @@ func (m *Machine) writeback(t *thread, lower *cache.Cache, addr uint64) {
 	}
 }
 
-// memWriteback sends an LLC dirty victim through the secure write path.
+// memWriteback sends an LLC dirty victim through the secure write path,
+// attributed to the frame's owner in the controller's page metadata.
 func (m *Machine) memWriteback(t *thread, addr uint64) {
 	pfn := layout.PFN(addr >> config.PageShift)
-	o := m.owners.get(pfn)
-	if o == nil || !o.valid {
+	dom, vpn, ok := m.mem.Owner(pfn)
+	if !ok {
 		return // the page was freed; drop the stale line
 	}
 	block := int(addr>>config.BlockShift) & (config.BlocksPerPage - 1)
 	smT := m.phases.Start()
 	res, err := m.mem.Do(secmem.AccessRequest{
-		Now: uint64(t.cycles), Domain: int(o.domain), VPN: o.vpn, PFN: pfn,
+		Now: uint64(t.cycles), Domain: dom, VPN: vpn, PFN: pfn,
 		Block: block, Write: true,
 	})
 	m.phases.End(telemetry.PhaseSecMem, smT)

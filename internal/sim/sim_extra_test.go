@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"ivleague/internal/config"
-	"ivleague/internal/layout"
+	"ivleague/internal/osmodel"
 	"ivleague/internal/workload"
 )
 
@@ -34,12 +35,12 @@ func TestStaticPartitionConfinesFrames(t *testing.T) {
 	}
 	// Every mapped frame must lie inside its domain's partition (no
 	// swap penalties expected at this footprint scale).
-	m.owners.forEach(func(pfn layout.PFN, o owner) {
-		lo, hi := m.mem.PartitionRange(int(o.domain))
-		if pfn < lo || pfn >= hi {
-			t.Fatalf("frame %d of domain %d outside partition [%d,%d)", pfn, o.domain, lo, hi)
+	for _, p := range m.mem.MappedPages() {
+		lo, hi := m.mem.PartitionRange(p.Domain)
+		if p.PFN < lo || p.PFN >= hi {
+			t.Fatalf("frame %d of domain %d outside partition [%d,%d)", p.PFN, p.Domain, lo, hi)
 		}
-	})
+	}
 	if res.Swaps != 0 {
 		t.Fatalf("unexpected swap penalties: %d", res.Swaps)
 	}
@@ -108,6 +109,34 @@ func TestMemAccessesExceedBaseline(t *testing.T) {
 	}
 }
 
+// checkFrameOwners asserts the frame-ownership contract memWriteback relies
+// on: every page a process maps is owned, in the controller's page
+// metadata, by that process's domain at that VPN, and the controller
+// reports no other frame as mapped.
+func checkFrameOwners(m *Machine) error {
+	total := 0
+	seen := map[*osmodel.Process]bool{}
+	for _, th := range m.threads {
+		if seen[th.proc] {
+			continue
+		}
+		seen[th.proc] = true
+		for _, vpn := range th.proc.Table.VPNs() {
+			pfn := th.proc.Table.Lookup(vpn).PFN
+			dom, v, ok := m.mem.Owner(pfn)
+			if !ok || dom != th.proc.DomainID || v != vpn {
+				return fmt.Errorf("frame %d mapped at vpn %#x by domain %d: Owner = (%d, %#x, %v)",
+					pfn, uint64(vpn), th.proc.DomainID, dom, uint64(v), ok)
+			}
+			total++
+		}
+	}
+	if got := len(m.mem.MappedPages()); got != total {
+		return fmt.Errorf("controller reports %d mapped frames, page tables map %d", got, total)
+	}
+	return nil
+}
+
 func TestWritebackOwnersCleanedOnUnmap(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Sim.MeasureInstr = 200_000 // enough for churn bursts
@@ -119,15 +148,56 @@ func TestWritebackOwnersCleanedOnUnmap(t *testing.T) {
 	if res.Failed {
 		t.Fatal(res.FailMsg)
 	}
-	// Every remaining owner entry must correspond to a mapped page.
-	mapped := uint64(0)
-	for _, th := range m.threads {
-		mapped += th.proc.Mapped()
+	// Unmapped frames drop their owner: the controller reports exactly
+	// the frames the page tables still map.
+	if err := checkFrameOwners(m); err != nil {
+		t.Fatal(err)
 	}
-	entries := uint64(0)
-	m.owners.forEach(func(layout.PFN, owner) { entries++ })
-	if entries != mapped {
-		t.Fatalf("owner table has %d entries, %d pages mapped", entries, mapped)
+}
+
+// The controller's page metadata is the only frame→(domain, VPN) table.
+// Check it against every process's page table every 4096 ops while pages
+// are mapped and freed: S-4 runs four churning benchmarks, and M-1's
+// dedup unmaps from two threads of one process.
+func TestFrameOwnersMatchPageTables(t *testing.T) {
+	for _, name := range []string{"S-4", "M-1"} {
+		mix, err := workload.MixByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []config.Scheme{
+			config.SchemeBaseline, config.SchemeStaticPartition,
+			config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro,
+		} {
+			cfg := quickCfg()
+			cfg.Sim.FootprintScale = 0.01  // fewer pages to check each time
+			cfg.Sim.MeasureInstr = 200_000 // enough for churn bursts
+			checks := 0
+			hook := func(m *Machine, op uint64) error {
+				if op%4096 != 0 {
+					return nil
+				}
+				checks++
+				return checkFrameOwners(m)
+			}
+			m, err := NewMachine(&cfg, scheme, mix, 0, WithOpHook(hook))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := m.Run(); res.Failed {
+				t.Fatalf("%s/%v: %s", name, scheme, res.FailMsg)
+			}
+			if err := checkFrameOwners(m); err != nil {
+				t.Fatalf("%s/%v at the end: %v", name, scheme, err)
+			}
+			freed := uint64(0)
+			for _, th := range m.threads {
+				freed += th.proc.PagesFreed.Value()
+			}
+			if checks == 0 || freed == 0 {
+				t.Fatalf("%s/%v: %d checks, %d pages freed; the run never exercised unmap", name, scheme, checks, freed)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 )
 
@@ -68,7 +69,7 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 }
 
 // TestSnapshotMatchesResult cross-checks the snapshot-derived Result
-// fields against the component accessors they replaced.
+// fields against the components' raw counters.
 func TestSnapshotMatchesResult(t *testing.T) {
 	cfg := quickCfg()
 	mix := smallMix(t)
@@ -84,20 +85,48 @@ func TestSnapshotMatchesResult(t *testing.T) {
 	if snap.Phase != telemetry.PhaseMeasure {
 		t.Fatalf("post-run phase = %q, want measure", snap.Phase)
 	}
-	if got := m.Mem().MemAccesses(); got != res.MemAccesses {
-		t.Fatalf("MemAccesses: accessor %d vs result %d", got, res.MemAccesses)
+	hitRate := func(hits, misses *stats.Counter) float64 {
+		return stats.Ratio(hits.Value(), hits.Value()+misses.Value())
 	}
-	if got := m.Mem().DRAM().MeanReadLatency(); got != res.DRAMReadLat {
-		t.Fatalf("DRAMReadLat: accessor %v vs result %v", got, res.DRAMReadLat)
+	mem := m.Mem()
+	dram := mem.DRAM()
+	if got := dram.Reads.Value() + dram.Writes.Value(); got != res.MemAccesses {
+		t.Fatalf("MemAccesses: counters %d vs result %d", got, res.MemAccesses)
 	}
-	if got := m.Mem().Verifications.Value(); got != res.Verification {
-		t.Fatalf("Verification: accessor %d vs result %d", got, res.Verification)
+	if got := stats.Ratio(dram.TotalLatency.Value(), dram.Reads.Value()); got != res.DRAMReadLat {
+		t.Fatalf("DRAMReadLat: counters %v vs result %v", got, res.DRAMReadLat)
 	}
-	if got := m.Mem().TreeCache().HitRate(); got != res.TreeHitRate {
-		t.Fatalf("TreeHitRate: accessor %v vs result %v", got, res.TreeHitRate)
+	if got := mem.Verifications.Value(); got != res.Verification {
+		t.Fatalf("Verification: counter %d vs result %d", got, res.Verification)
 	}
-	if got := m.Mem().LMM().HitRate(); got != res.LMMHitRate {
-		t.Fatalf("LMMHitRate: accessor %v vs result %v", got, res.LMMHitRate)
+	if got := mem.SwapPenalties.Value(); got != res.Swaps {
+		t.Fatalf("Swaps: counter %d vs result %d", got, res.Swaps)
+	}
+	if got := 1 - hitRate(&m.l3.Hits, &m.l3.Misses); got != res.L3MissRate {
+		t.Fatalf("L3MissRate: counters %v vs result %v", got, res.L3MissRate)
+	}
+	// The NFLB rate aggregates per thread, so a two-thread domain counts
+	// twice (the Figure 18 metric).
+	var nflbHits, nflbMisses stats.Counter
+	for _, th := range m.threads {
+		b := mem.IvLeague().NFLBOf(th.proc.DomainID)
+		nflbHits.Add(b.Hits.Value())
+		nflbMisses.Add(b.Misses.Value())
+	}
+	tc, cc, lc := mem.TreeCache(), mem.CounterCache(), mem.LMM().Stats()
+	for _, r := range []struct {
+		name         string
+		hits, misses *stats.Counter
+		result       float64
+	}{
+		{"TreeHitRate", &tc.Hits, &tc.Misses, res.TreeHitRate},
+		{"CtrHitRate", &cc.Hits, &cc.Misses, res.CtrHitRate},
+		{"LMMHitRate", &lc.Hits, &lc.Misses, res.LMMHitRate},
+		{"NFLBHitRate", &nflbHits, &nflbMisses, res.NFLBHitRate},
+	} {
+		if got := hitRate(r.hits, r.misses); got != r.result {
+			t.Fatalf("%s: counters %v vs result %v", r.name, got, r.result)
+		}
 	}
 	if got := snap.Counter("secmem.verifications"); got != res.Verification {
 		t.Fatalf("snapshot verifications %d vs result %d", got, res.Verification)

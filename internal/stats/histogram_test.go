@@ -65,43 +65,6 @@ func TestHistogramQuantileOverflow(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(8)
-	b := NewHistogram(8)
-	for v := 0; v < 5; v++ {
-		a.Observe(v)
-	}
-	for v := 5; v < 10; v++ {
-		b.Observe(v) // 9 overflows
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Count() != 10 {
-		t.Fatalf("merged count = %d, want 10", a.Count())
-	}
-	if want := 4.5; math.Abs(a.Mean()-want) > 1e-12 {
-		t.Fatalf("merged mean = %v, want %v", a.Mean(), want)
-	}
-	if got := a.Bucket(9); got != 1 {
-		t.Fatalf("merged overflow = %d, want 1", got)
-	}
-	if got := a.Quantile(0.5); got != 4 {
-		t.Fatalf("merged median = %d, want 4", got)
-	}
-}
-
-func TestHistogramMergeSizeMismatch(t *testing.T) {
-	a := NewHistogram(8)
-	b := NewHistogram(4)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging differently-sized histograms must error")
-	}
-	if a.Count() != 0 {
-		t.Fatal("failed merge must not mutate the receiver")
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(4)
 	h.Observe(2)

@@ -1,6 +1,6 @@
 // Package stats provides the light-weight statistics primitives used by the
-// simulator: named counters, ratio helpers, running means, histograms, and
-// the geometric-mean / weighted-IPC aggregations the paper's figures report.
+// simulator: named counters, ratio helpers, running means, histograms, the
+// geometric mean the paper's figures report, and the text-table formatter.
 package stats
 
 import (
@@ -95,22 +95,6 @@ func Gmean(vs []float64) float64 {
 	return math.Exp(logSum / float64(len(vs)))
 }
 
-// WeightedIPC computes the weighted-speedup metric used by Figure 15:
-// sum over cores of IPC_shared/IPC_alone. Panics if lengths differ.
-func WeightedIPC(shared, alone []float64) float64 {
-	if len(shared) != len(alone) {
-		panic("stats: WeightedIPC length mismatch")
-	}
-	sum := 0.0
-	for i := range shared {
-		if alone[i] <= 0 {
-			panic("stats: WeightedIPC with non-positive alone IPC")
-		}
-		sum += shared[i] / alone[i]
-	}
-	return sum
-}
-
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
 type Histogram struct {
 	buckets []uint64
@@ -198,22 +182,6 @@ func (h *Histogram) Quantile(p float64) int {
 	return len(h.buckets) // overflow bucket
 }
 
-// Merge adds o's samples into h. The two histograms must have identical
-// bucket geometry; a mismatch is an error and leaves h unchanged.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.buckets) != len(o.buckets) {
-		return fmt.Errorf("stats: merging histograms with %d and %d buckets",
-			len(h.buckets), len(o.buckets))
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.over += o.over
-	h.sum += o.sum
-	h.n += o.n
-	return nil
-}
-
 // Table renders rows of labeled float columns as an aligned text table;
 // it is the shared formatter for cmd/ivbench figure output.
 type Table struct {
@@ -223,16 +191,6 @@ type Table struct {
 
 // AddRow appends a row of pre-formatted cells.
 func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
-// AddFloats appends a row with a label and %.3f-formatted values.
-func (t *Table) AddFloats(label string, vs ...float64) {
-	cells := make([]string, 0, len(vs)+1)
-	cells = append(cells, label)
-	for _, v := range vs {
-		cells = append(cells, fmt.Sprintf("%.3f", v))
-	}
 	t.Rows = append(t.Rows, cells)
 }
 

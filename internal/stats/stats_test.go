@@ -57,19 +57,6 @@ func TestGmean(t *testing.T) {
 	Gmean([]float64{1, 0})
 }
 
-func TestWeightedIPC(t *testing.T) {
-	got := WeightedIPC([]float64{1, 2}, []float64{2, 2})
-	if got != 1.5 {
-		t.Fatalf("got %v, want 1.5", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	WeightedIPC([]float64{1}, []float64{1, 2})
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(4)
 	for _, v := range []int{0, 1, 1, 4, 9} {
@@ -88,7 +75,7 @@ func TestHistogram(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Header: []string{"name", "v"}}
-	tb.AddFloats("x", 1.5)
+	tb.AddRow("x", "1.500")
 	tb.AddRow("longer-name", "2")
 	s := tb.String()
 	if !strings.Contains(s, "longer-name") || !strings.Contains(s, "1.500") {

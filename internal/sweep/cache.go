@@ -48,9 +48,6 @@ func OpenCache(dir string) (*Cache, error) {
 	}, nil
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // objectPath returns the content address of a fingerprint.
 func (c *Cache) objectPath(fp string) string {
 	shard := fp

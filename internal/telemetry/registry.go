@@ -46,9 +46,6 @@ type Registry struct {
 	gaugeOrder []string
 	gauges     map[string]func() float64
 
-	histOrder []string
-	hists     map[string]*stats.Histogram
-
 	samplers []func(*Sample)
 	resets   []func()
 }
@@ -59,7 +56,6 @@ func NewRegistry() *Registry {
 		phase:    PhaseWarmup,
 		counters: make(map[string]*stats.Counter),
 		gauges:   make(map[string]func() float64),
-		hists:    make(map[string]*stats.Histogram),
 	}
 }
 
@@ -108,22 +104,6 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	r.gauges[name] = fn
 }
 
-// RegisterHistogram adopts a histogram. Snapshots expose it as
-// "<name>.count" (counter) plus "<name>.mean", "<name>.p50" and
-// "<name>.p99" gauges; Reset clears it.
-func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) {
-	if h == nil {
-		panic(fmt.Sprintf("telemetry: RegisterHistogram(%q) with nil histogram", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.hists[name]; dup {
-		panic(fmt.Sprintf("telemetry: histogram %q registered twice", name))
-	}
-	r.histOrder = append(r.histOrder, name)
-	r.hists[name] = h
-}
-
 // RegisterSampler registers a callback that contributes dynamically-named
 // metrics (e.g. per-domain counters whose key set changes at run time) to
 // every snapshot.
@@ -136,10 +116,11 @@ func (r *Registry) RegisterSampler(fn func(*Sample)) {
 	r.samplers = append(r.samplers, fn)
 }
 
-// RegisterReset registers extra state to clear on Reset beyond the
-// registered counters and histograms (per-domain stat maps, IPC baseline
-// snapshots). Components register their own reset so new stat sources can
-// never be forgotten at the warmup boundary.
+// RegisterReset registers state to clear on Reset that is not a registered
+// counter: sampled statistics (per-domain histograms and counters whose key
+// set changes at run time) and IPC baseline snapshots. Each component
+// registers its own hook next to its sampler, so a new stat source cannot
+// be forgotten at the warmup boundary.
 func (r *Registry) RegisterReset(fn func()) {
 	if fn == nil {
 		panic("telemetry: RegisterReset with nil func")
@@ -149,16 +130,13 @@ func (r *Registry) RegisterReset(fn func()) {
 	r.resets = append(r.resets, fn)
 }
 
-// Reset zeroes every registered counter and histogram and runs the
-// registered reset hooks — the single end-of-warmup statistics boundary.
+// Reset zeroes every registered counter and runs the registered reset
+// hooks — the single end-of-warmup statistics boundary.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, name := range r.counterOrder {
 		r.counters[name].Reset()
-	}
-	for _, name := range r.histOrder {
-		r.hists[name].Reset()
 	}
 	for _, fn := range r.resets {
 		fn()
@@ -190,21 +168,14 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	snap := Snapshot{
 		Phase:    r.phase,
-		Counters: make(map[string]uint64, len(r.counters)+len(r.hists)),
-		Gauges:   make(map[string]float64, len(r.gauges)+3*len(r.hists)),
+		Counters: make(map[string]uint64, len(r.counters)),
+		Gauges:   make(map[string]float64, len(r.gauges)),
 	}
 	for _, name := range r.counterOrder {
 		snap.Counters[name] = r.counters[name].Value()
 	}
 	for _, name := range r.gaugeOrder {
 		snap.Gauges[name] = r.gauges[name]()
-	}
-	for _, name := range r.histOrder {
-		h := r.hists[name]
-		snap.Counters[name+".count"] = h.Count()
-		snap.Gauges[name+".mean"] = h.Mean()
-		snap.Gauges[name+".p50"] = float64(h.Quantile(0.50))
-		snap.Gauges[name+".p99"] = float64(h.Quantile(0.99))
 	}
 	sm := &Sample{snap: &snap}
 	for _, fn := range r.samplers {

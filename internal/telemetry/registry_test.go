@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"testing"
 
 	"ivleague/internal/stats"
@@ -55,13 +54,10 @@ func TestResetZeroesCountersAndRunsHooks(t *testing.T) {
 	r := NewRegistry()
 	var c stats.Counter
 	r.RegisterCounter("c", &c)
-	h := stats.NewHistogram(8)
-	r.RegisterHistogram("h", h)
 	hookRan := false
 	r.RegisterReset(func() { hookRan = true })
 
 	c.Add(7)
-	h.Observe(3)
 	r.Reset()
 	r.SetPhase(PhaseMeasure)
 
@@ -69,36 +65,11 @@ func TestResetZeroesCountersAndRunsHooks(t *testing.T) {
 	if snap.Counter("c") != 0 {
 		t.Fatalf("counter survived Reset: %d", snap.Counter("c"))
 	}
-	if snap.Counter("h.count") != 0 {
-		t.Fatalf("histogram survived Reset: %d", snap.Counter("h.count"))
-	}
 	if !hookRan {
 		t.Fatal("reset hook did not run")
 	}
 	if snap.Phase != PhaseMeasure {
 		t.Fatalf("phase = %q, want %q", snap.Phase, PhaseMeasure)
-	}
-}
-
-func TestHistogramSnapshotMetrics(t *testing.T) {
-	r := NewRegistry()
-	h := stats.NewHistogram(16)
-	r.RegisterHistogram("lat", h)
-	for v := 1; v <= 10; v++ {
-		h.Observe(v)
-	}
-	snap := r.Snapshot()
-	if got := snap.Counter("lat.count"); got != 10 {
-		t.Fatalf("count = %d, want 10", got)
-	}
-	if got := snap.Gauge("lat.mean"); math.Abs(got-5.5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5.5", got)
-	}
-	if got := snap.Gauge("lat.p50"); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := snap.Gauge("lat.p99"); got != 10 {
-		t.Fatalf("p99 = %v, want 10", got)
 	}
 }
 

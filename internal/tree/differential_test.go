@@ -9,6 +9,7 @@ package tree
 // enumeration order shows up here before it can corrupt a persisted image.
 
 import (
+	"sort"
 	"testing"
 
 	"ivleague/internal/config"
@@ -17,6 +18,74 @@ import (
 	"ivleague/internal/layout"
 	"ivleague/internal/rng"
 )
+
+// SlotStore is a sparse map from node key to the node's hash slots. Keys
+// are caller-defined (the global tree and the TreeLing forest use different
+// encodings). Absent nodes read as all-zero slots.
+//
+// It is the map-backed reference store the arena-backed Forest/Global
+// replaced on the access path; the tests below replay the same operations
+// through both and compare digests.
+type SlotStore struct {
+	arity int
+	nodes map[uint64][]uint64
+	zero  []uint64 // shared all-zero node, read-only
+}
+
+// NewSlotStore creates a store for nodes with the given arity.
+func NewSlotStore(arity int) *SlotStore {
+	return &SlotStore{arity: arity, nodes: make(map[uint64][]uint64), zero: make([]uint64, arity)}
+}
+
+// Arity returns the number of slots per node.
+func (s *SlotStore) Arity() int { return s.arity }
+
+// Slot returns the hash in (key, slot); zero if never set.
+func (s *SlotStore) Slot(key uint64, slot int) uint64 {
+	n := s.nodes[key]
+	if n == nil {
+		return 0
+	}
+	return n[slot]
+}
+
+// SetSlot stores a hash into (key, slot).
+func (s *SlotStore) SetSlot(key uint64, slot int, h uint64) {
+	n := s.nodes[key]
+	if n == nil {
+		n = make([]uint64, s.arity)
+		s.nodes[key] = n
+	}
+	n[slot] = h
+}
+
+// NodeHash returns the hash of the whole node (over all its slots).
+func (s *SlotStore) NodeHash(key uint64) uint64 {
+	n := s.nodes[key]
+	if n == nil {
+		n = s.zero
+	}
+	return crypto.NodeHash(n...)
+}
+
+// Drop removes a node entirely.
+func (s *SlotStore) Drop(key uint64) { delete(s.nodes, key) }
+
+// Has reports whether a node is materialized.
+func (s *SlotStore) Has(key uint64) bool { return s.nodes[key] != nil }
+
+// Keys returns the materialized node keys in ascending order.
+func (s *SlotStore) Keys() []uint64 {
+	keys := make([]uint64, 0, len(s.nodes))
+	for k := range s.nodes {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// Key encodes a forest node key (the map-backed shadow store's encoding).
+func Key(tl, nodeIdx int) uint64 { return uint64(tl)<<24 | uint64(nodeIdx) }
 
 // shadowGlobal is the seed's map-backed global BMT (functional parts only).
 type shadowGlobal struct {

@@ -2,8 +2,8 @@
 // global Bonsai Merkle Tree used by the Baseline scheme and the hash
 // forest the IvLeague TreeLings live in, both backed by dense slot arenas
 // addressed with (TreeLing, node, slot) / (level, index, slot) arithmetic.
-// The map-backed SlotStore survives as the reference implementation the
-// differential tests shadow the arenas against.
+// The differential tests shadow the arenas against a map-backed reference
+// store.
 //
 // The functional layer maintains real (non-cryptographic but strongly
 // mixing) hashes so that tamper-detection semantics can be tested
@@ -13,93 +13,12 @@
 package tree
 
 import (
-	"sort"
-
 	"ivleague/internal/crypto"
 	"ivleague/internal/ctr"
 	"ivleague/internal/layout"
 	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 )
-
-// SlotStore is a sparse map from node key to the node's hash slots. Keys
-// are caller-defined (the global tree and the TreeLing forest use different
-// encodings). Absent nodes read as all-zero slots.
-//
-// It is the map-backed reference store the arena-backed Forest/Global
-// replaced on the access path; the differential tests replay the same
-// operations through both and compare digests.
-type SlotStore struct {
-	arity int
-	nodes map[uint64][]uint64
-	zero  []uint64 // shared all-zero node, read-only
-}
-
-// NewSlotStore creates a store for nodes with the given arity.
-func NewSlotStore(arity int) *SlotStore {
-	return &SlotStore{arity: arity, nodes: make(map[uint64][]uint64), zero: make([]uint64, arity)}
-}
-
-// Arity returns the number of slots per node.
-func (s *SlotStore) Arity() int { return s.arity }
-
-// Slot returns the hash in (key, slot); zero if never set.
-func (s *SlotStore) Slot(key uint64, slot int) uint64 {
-	n := s.nodes[key]
-	if n == nil {
-		return 0
-	}
-	return n[slot]
-}
-
-// SetSlot stores a hash into (key, slot).
-func (s *SlotStore) SetSlot(key uint64, slot int, h uint64) {
-	n := s.nodes[key]
-	if n == nil {
-		n = make([]uint64, s.arity)
-		s.nodes[key] = n
-	}
-	n[slot] = h
-}
-
-// NodeHash returns the hash of the whole node (over all its slots).
-func (s *SlotStore) NodeHash(key uint64) uint64 {
-	n := s.nodes[key]
-	if n == nil {
-		n = s.zero
-	}
-	return crypto.NodeHash(n...)
-}
-
-// Drop removes a node entirely.
-func (s *SlotStore) Drop(key uint64) { delete(s.nodes, key) }
-
-// Len returns the number of materialized nodes.
-func (s *SlotStore) Len() int { return len(s.nodes) }
-
-// Has reports whether a node is materialized.
-func (s *SlotStore) Has(key uint64) bool { return s.nodes[key] != nil }
-
-// Keys returns the materialized node keys in ascending order.
-func (s *SlotStore) Keys() []uint64 {
-	keys := make([]uint64, 0, len(s.nodes))
-	for k := range s.nodes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// Clone returns a deep copy of the store (the persisted node image).
-func (s *SlotStore) Clone() *SlotStore {
-	c := NewSlotStore(s.arity)
-	for k, n := range s.nodes {
-		cp := make([]uint64, s.arity)
-		copy(cp, n)
-		c.nodes[k] = cp
-	}
-	return c
-}
 
 // CounterBlockHash hashes a counter block's contents together with its
 // page frame number (binding position, preventing splicing).
@@ -156,12 +75,6 @@ func (g *Global) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".verifies", &g.Verifies)
 }
 
-// ResetStats clears the functional counters (end-of-warmup boundary).
-func (g *Global) ResetStats() {
-	g.Updates.Reset()
-	g.Verifies.Reset()
-}
-
 // NewGlobal creates the functional global tree for a layout.
 func NewGlobal(lay *layout.Layout) *Global {
 	g := &Global{
@@ -216,11 +129,6 @@ func (g *Global) setSlot(level int, idx uint64, slot int, h uint64) {
 	c := g.ensure(level, idx)
 	c.has[idx&gchunkMask] = true
 	c.slots[int(idx&gchunkMask)*g.arity+slot] = h
-}
-
-func (g *Global) has(level int, idx uint64) bool {
-	c := g.peek(level, idx)
-	return c != nil && c.has[idx&gchunkMask]
 }
 
 func (g *Global) levelNodeHash(level int, idx uint64) uint64 {
@@ -404,15 +312,6 @@ func (f *Forest) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".updates", &f.Updates)
 	r.RegisterCounter(prefix+".verifies", &f.Verifies)
 }
-
-// ResetStats clears the functional counters (end-of-warmup boundary).
-func (f *Forest) ResetStats() {
-	f.Updates.Reset()
-	f.Verifies.Reset()
-}
-
-// Key encodes a forest node key (the map-backed shadow store's encoding).
-func Key(tl, nodeIdx int) uint64 { return uint64(tl)<<24 | uint64(nodeIdx) }
 
 // peek returns tl's arena, or nil if untouched.
 func (f *Forest) peek(tl int) *tlArena {

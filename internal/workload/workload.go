@@ -186,9 +186,6 @@ func NewGenerator(p Profile, seed uint64, thread int, opts GenOpts) *Generator {
 	return g
 }
 
-// Profile returns the generator's benchmark profile.
-func (g *Generator) Profile() Profile { return g.p }
-
 // Pages returns the effective (scaled) footprint in pages.
 func (g *Generator) Pages() uint64 { return g.pages }
 
