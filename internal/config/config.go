@@ -399,6 +399,12 @@ func (c *Config) Validate() error {
 	if iv.RootLockWays < 0 || iv.RootLockWays >= c.SecureMem.TreeCache.Ways {
 		return errors.New("config: RootLockWays must leave at least one unlocked tree-cache way")
 	}
+	if iv.HotTrackerEntries < 1 {
+		return errors.New("config: HotTrackerEntries must be at least 1")
+	}
+	if iv.HotCounterBits < 1 || iv.HotCounterBits > 32 {
+		return fmt.Errorf("config: HotCounterBits %d must be in [1,32]", iv.HotCounterBits)
+	}
 	if iv.HotRegionLeaves < 0 {
 		return errors.New("config: HotRegionLeaves must be non-negative")
 	}

@@ -102,6 +102,9 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		func(c *Config) { c.IvLeague.TreeLingHeight = 1 },
 		func(c *Config) { c.IvLeague.RootLockWays = 8 },
 		func(c *Config) { c.IvLeague.HotRegionLeaves = 1 << 20 },
+		func(c *Config) { c.IvLeague.HotTrackerEntries = 0 },
+		func(c *Config) { c.IvLeague.HotCounterBits = 0 },
+		func(c *Config) { c.IvLeague.HotCounterBits = 33 },
 		func(c *Config) { c.Sim.MeasureInstr = 0 },
 		func(c *Config) { c.DRAM.RowHitLatency = 0 },
 	}

@@ -185,7 +185,7 @@ func (c *Controller) CreateDomain(id int) (*Domain, error) {
 	if c.mode == ModePro {
 		d.hotSpace = newNFLSpace(c.cfg.NFLEntriesPerBlock, c.hotNFL)
 		d.hot = newHotTracker(c.cfg.HotTrackerEntries, c.cfg.HotCounterBits, c.cfg.HotThreshold, c.cfg.HotClearInterval)
-		d.hotPages = &hotPageTable{}
+		d.hotPages = newHotPageTable()
 	}
 	c.domains[id] = d
 	return d, nil

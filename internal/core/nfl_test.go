@@ -287,32 +287,39 @@ func TestHotTrackerMisraGries(t *testing.T) {
 	tr.observe(1)
 	tr.observe(1) // count 2
 	tr.observe(2) // fills second entry
-	hot, _ := tr.observe(1)
-	if !hot {
+	if !tr.observe(1) {
 		t.Fatal("key 1 did not reach threshold 3")
 	}
 	// One-shot keys should decrement, not evict, key 1.
-	tr.observe(3)
-	tr.observe(4)
-	if tr.find(1) < 0 {
+	if tr.observe(3) || tr.observe(4) {
+		t.Fatal("a one-shot key reported hot")
+	}
+	if _, ok := tr.index.get(1); !ok {
 		t.Fatal("hot key evicted by one-shot noise")
 	}
 	if !tr.atThreshold(1) {
 		t.Fatal("atThreshold lost the hot key")
+	}
+	// Still hot on its next access, though the counter did not cross the
+	// threshold on it.
+	if !tr.observe(1) {
+		t.Fatal("observe reported a key above the threshold as cold")
 	}
 }
 
 func TestHotTrackerClearInterval(t *testing.T) {
 	tr := newHotTracker(4, 8, 2, 4)
 	tr.observe(1)
-	tr.observe(1) // hot
-	if !tr.atThreshold(1) {
+	if !tr.observe(1) || !tr.atThreshold(1) {
 		t.Fatal("not hot before clear")
 	}
 	tr.observe(2)
 	tr.observe(3) // 4th observation triggers the periodic clear
 	if tr.atThreshold(1) {
 		t.Fatal("counter survived the clear interval")
+	}
+	if tr.observe(1) {
+		t.Fatal("first access after the clear reported hot")
 	}
 }
 

@@ -3,26 +3,22 @@ package core
 import "ivleague/internal/layout"
 
 // hotTracker is the per-domain n-entry access-frequency table integrated
-// into the memory controller (Figure 14a). Entries are scanned linearly
-// for replacement, which is deterministic and matches the "replace the
-// entry with the smallest counter" policy. Lookups scan a dense key array
-// (keys[i] mirrors entries[i].pfn, with an all-ones sentinel for invalid
-// entries) instead of a map: the table is small enough — tens of entries —
-// that the scan beats a hash lookup and keeps the access path free of map
-// traffic.
+// into the memory controller (Figure 14a). Hardware matches a key against
+// every entry with one CAM lookup; here an open-addressed index maps each
+// tracked key to its entry. Replacement takes the first invalid entry,
+// else the lowest-index entry with the smallest counter: a binary
+// min-heap of entry indices under that order keeps the pick at its root,
+// so a miss reads it in O(1) instead of scanning (DESIGN.md §15).
 type hotTracker struct {
 	entries  []hotEntry
-	keys     []uint64 // entries[i].pfn when valid, noKey otherwise
+	index    u64table // key → index of the valid entry tracking it
+	heap     []int32  // entry indices, a min-heap under lessEntry
+	pos      []int32  // pos[i] is entry i's position in heap
 	max      uint32   // counter saturation value
 	thresh   uint32
 	interval uint64
 	accesses uint64
 }
-
-// noKey marks an invalid tracker entry in the key scan array. Tracker keys
-// are region numbers (PFN >> HotRegionPagesLog2), which can never reach
-// the all-ones value.
-const noKey = ^uint64(0)
 
 type hotEntry struct {
 	pfn   uint64
@@ -36,32 +32,61 @@ func newHotTracker(n, counterBits int, thresh uint32, interval uint64) *hotTrack
 	}
 	t := &hotTracker{
 		entries:  make([]hotEntry, n),
-		keys:     make([]uint64, n),
+		index:    newU64Table(n),
+		heap:     make([]int32, n),
+		pos:      make([]int32, n),
 		max:      1<<uint(counterBits) - 1,
 		thresh:   thresh,
 		interval: interval,
 	}
-	for i := range t.keys {
-		t.keys[i] = noKey
+	// Every entry starts invalid, so index order is already heap order.
+	for i := range t.heap {
+		t.heap[i] = int32(i)
+		t.pos[i] = int32(i)
 	}
 	return t
 }
 
-// find returns the index of the valid entry tracking key, or -1.
-func (t *hotTracker) find(key uint64) int {
-	for i, k := range t.keys {
-		if k == key {
-			return i
-		}
+// lessEntry orders entries for replacement: invalid before valid, then
+// the smaller counter, then the lower index.
+func (t *hotTracker) lessEntry(a, b int32) bool {
+	ea, eb := &t.entries[a], &t.entries[b]
+	if ea.valid != eb.valid {
+		return !ea.valid
 	}
-	return -1
+	if ea.count != eb.count {
+		return ea.count < eb.count
+	}
+	return a < b
 }
 
-// observe records an access to pfn. It returns:
-//   - hot: the page's counter just reached the threshold;
-//   - victim: a page evicted from the tracker to make room (or ^0).
-func (t *hotTracker) observe(pfn uint64) (hot bool, victim uint64) {
-	victim = ^uint64(0)
+// siftDown restores the heap order below heap position p after the entry
+// there moved later in the replacement order.
+func (t *hotTracker) siftDown(p int) {
+	h := t.heap
+	x := h[p]
+	for {
+		c := 2*p + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && t.lessEntry(h[c+1], h[c]) {
+			c++
+		}
+		if !t.lessEntry(h[c], x) {
+			break
+		}
+		h[p] = h[c]
+		t.pos[h[p]] = int32(p)
+		p = c
+	}
+	h[p] = x
+	t.pos[x] = int32(p)
+}
+
+// observe records an access to key and reports whether key's counter is
+// at or above the hot threshold after it.
+func (t *hotTracker) observe(key uint64) bool {
 	t.accesses++
 	if t.interval > 0 && t.accesses%t.interval == 0 {
 		// Periodic counter clear (Section VII-B): hot pages must keep
@@ -69,92 +94,77 @@ func (t *hotTracker) observe(pfn uint64) (hot bool, victim uint64) {
 		for i := range t.entries {
 			t.entries[i].count = 0
 		}
+		for p := len(t.heap)/2 - 1; p >= 0; p-- {
+			t.siftDown(p)
+		}
 	}
-	if i := t.find(pfn); i >= 0 {
+	if i, ok := t.index.get(key); ok {
 		e := &t.entries[i]
 		if e.count < t.max {
 			e.count++
+			t.siftDown(int(t.pos[i]))
 		}
-		return e.count == t.thresh, victim
+		return e.count >= t.thresh
 	}
 	// Insert: first invalid entry, else Misra-Gries-style replacement —
 	// decrement the smallest counter and only take its entry once it
 	// reaches zero, so recurring warm pages survive one-shot traffic.
 	// (A "more advanced hotpage detection mechanism" per Section VII-B.)
-	slot := -1
-	for i := range t.entries {
-		if !t.entries[i].valid {
-			slot = i
-			break
+	r := t.heap[0]
+	e := &t.entries[r]
+	if e.valid {
+		if e.count > 1 {
+			// A smaller counter keeps the root the minimum.
+			e.count--
+			return false // newcomer not admitted this time
 		}
-		if slot < 0 || t.entries[i].count < t.entries[slot].count {
-			slot = i
-		}
+		t.index.del(e.pfn)
 	}
-	if t.entries[slot].valid {
-		if t.entries[slot].count > 1 {
-			t.entries[slot].count--
-			return false, victim // newcomer not admitted this time
-		}
-		victim = t.entries[slot].pfn
-	}
-	t.entries[slot] = hotEntry{pfn: pfn, count: 1, valid: true}
-	t.keys[slot] = pfn
-	return t.thresh == 1, victim
+	*e = hotEntry{pfn: key, count: 1, valid: true}
+	t.index.set(key, uint64(r))
+	t.siftDown(0)
+	return e.count >= t.thresh
 }
 
 // atThreshold reports whether key's counter has reached the hot threshold.
 func (t *hotTracker) atThreshold(key uint64) bool {
-	if i := t.find(key); i >= 0 {
+	if i, ok := t.index.get(key); ok {
 		return t.entries[i].count >= t.thresh
 	}
 	return false
 }
 
-// hotPageTable maps PFN → τhot slot as a grown-dense slice: the frame
-// allocator hands out PFNs densely from the bottom of the data region, so
-// a pfn-indexed slice with an InvalidSlot sentinel replaces the old
-// map[uint64]SlotID without its per-migration heap and hash traffic.
-type hotPageTable struct {
-	slots []SlotID // pfn-indexed; InvalidSlot = not resident
-	n     int
-}
+// hotPageTable maps PFN → τhot slot. It is sized by its residents — at
+// most the τhot slots of the domain's TreeLings — not by the highest PFN
+// the domain ever migrated.
+type hotPageTable struct{ tab u64table }
+
+func newHotPageTable() *hotPageTable { return &hotPageTable{tab: newU64Table(0)} }
 
 // get returns pfn's τhot slot, if resident.
 func (h *hotPageTable) get(pfn layout.PFN) (SlotID, bool) {
-	if uint64(pfn) >= uint64(len(h.slots)) || h.slots[pfn] == InvalidSlot {
+	s, ok := h.tab.get(uint64(pfn))
+	if !ok {
 		return InvalidSlot, false
 	}
-	return h.slots[pfn], true
+	return SlotID(s), true
 }
 
-// set records pfn as resident in slot s, growing the table on demand.
-func (h *hotPageTable) set(pfn layout.PFN, s SlotID) {
-	for uint64(len(h.slots)) <= uint64(pfn) {
-		//ivlint:allow hotalloc — hot-page table grows to the domain's PFN range, then quiesces
-		h.slots = append(h.slots, InvalidSlot)
-	}
-	if h.slots[pfn] == InvalidSlot {
-		h.n++
-	}
-	h.slots[pfn] = s
-}
+// set records pfn as resident in slot s.
+func (h *hotPageTable) set(pfn layout.PFN, s SlotID) { h.tab.set(uint64(pfn), uint64(s)) }
 
 // del drops pfn's residency record, if any.
-func (h *hotPageTable) del(pfn layout.PFN) {
-	if uint64(pfn) < uint64(len(h.slots)) && h.slots[pfn] != InvalidSlot {
-		h.slots[pfn] = InvalidSlot
-		h.n--
-	}
-}
+func (h *hotPageTable) del(pfn layout.PFN) { h.tab.del(uint64(pfn)) }
+
+// n returns the number of resident pages.
+func (h *hotPageTable) n() int { return h.tab.n }
 
 // forEach visits the resident pages in ascending PFN order — the canonical
 // enumeration the state digest and the persist image rely on.
 func (h *hotPageTable) forEach(fn func(pfn layout.PFN, s SlotID)) {
-	for pfn, s := range h.slots {
-		if s != InvalidSlot {
-			fn(layout.PFN(pfn), s)
-		}
+	for _, k := range h.tab.sortedKeys() {
+		s, _ := h.tab.get(k)
+		fn(layout.PFN(k), SlotID(s))
 	}
 }
 
@@ -203,12 +213,12 @@ func (c *Controller) OnAccess(domainID int, pfn layout.PFN, slot SlotID, ops *Op
 	// Region-granular tracking: the tracker counts accesses per region;
 	// once a region is hot, each of its pages migrates on its next access.
 	region := uint64(pfn) >> uint(c.cfg.HotRegionPagesLog2)
-	hot, _ := d.hot.observe(region)
+	hot := d.hot.observe(region)
 	d.sinceMig++
 	// The migration engine is rate-limited (one relocation per several
 	// memory-controller accesses) so τhot residency favours genuinely
 	// recurring regions instead of thrashing on one-shot traffic.
-	if (hot || d.hot.atThreshold(region)) && d.sinceMig >= 8 {
+	if hot && d.sinceMig >= 8 {
 		if _, already := d.hotPages.get(pfn); !already && !c.isHotNode(slot.Node()) {
 			if ns, ok := c.migrateToHot(d, pfn, slot, ops); ok {
 				d.sinceMig = 0
@@ -351,7 +361,7 @@ func (c *Controller) moveHash(d *Domain, a, b SlotID, ops *OpList) {
 // HotResident returns how many pages of the domain currently live in τhot.
 func (c *Controller) HotResident(domainID int) int {
 	if d := c.domains[domainID]; d != nil && d.hotPages != nil {
-		return d.hotPages.n
+		return d.hotPages.n()
 	}
 	return 0
 }

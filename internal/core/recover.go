@@ -145,7 +145,7 @@ func (c *Controller) Persist() (*Image, error) {
 			}
 		}
 		if d.hotPages != nil {
-			di.hotPages = make(map[layout.PFN]SlotID, d.hotPages.n)
+			di.hotPages = make(map[layout.PFN]SlotID, d.hotPages.n())
 			d.hotPages.forEach(func(pfn layout.PFN, s SlotID) {
 				di.hotPages[pfn] = s
 			})
@@ -204,7 +204,7 @@ func (c *Controller) Restore(img *Image) error {
 			}
 			d.hotSpace = di.hotSpace.restore(c.hotNFL)
 			d.hot = newHotTracker(c.cfg.HotTrackerEntries, c.cfg.HotCounterBits, c.cfg.HotThreshold, c.cfg.HotClearInterval)
-			d.hotPages = &hotPageTable{}
+			d.hotPages = newHotPageTable()
 			// The migration FIFO is on-chip and lost; rebuild it in a
 			// canonical (ascending pfn) order from the persisted slots.
 			for _, pfn := range stats.SortedKeys(di.hotPages) {

@@ -7,6 +7,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Source is a xoshiro256** generator seeded via splitmix64.
@@ -80,27 +81,14 @@ func (r *Source) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n with n == 0")
 	}
 	// Lemire's multiply-shift rejection method.
-	v := r.Uint64()
-	hi, lo := mul128(v, n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul128(v, n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Intn returns a uniform int in [0, n). n must be > 0.

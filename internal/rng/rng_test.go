@@ -234,22 +234,61 @@ func TestUint64nPropertyInRange(t *testing.T) {
 	}
 }
 
-func TestMul128AgainstBits(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul128(a, b)
-		// Verify via 32-bit long multiplication identity on low part.
-		if lo != a*b {
-			return false
+// TestUint64nGolden pins the first draws of Uint64n and Intn, recorded
+// before Uint64n moved from a hand-written 128-bit multiply to bits.Mul64:
+// every simulated result depends on these streams. The n above 2^63 make
+// Lemire's rejection loop run, which the test confirms by counting the
+// extra Uint64 draws.
+func TestUint64nGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n    uint64
+		want []uint64
+		// rejects: the draws include at least one rejected sample.
+		rejects bool
+	}{
+		{0x1, []uint64{0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}, false},
+		{0x2, []uint64{0x0, 0x0, 0x1, 0x1, 0x1, 0x1, 0x1, 0x1}, false},
+		{0x3, []uint64{0x0, 0x1, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2}, false},
+		{0xa, []uint64{0x0, 0x3, 0x6, 0x9, 0x9, 0x7, 0x7, 0x8}, false},
+		{0x3e8, []uint64{0x53, 0x17a, 0x2a8, 0x39c, 0x3df, 0x301, 0x2cf, 0x352}, false},
+		{0x10000000f, []uint64{0x15780b2f, 0x6104d98c, 0xae17533c, 0xecb8ad54, 0xfde6dc8e, 0xc50da53c, 0xb8215490, 0xd99a2750}, false},
+		{0x7fffffffffffffe7, []uint64{0xabc059706176388, 0x30826cc336889d35, 0x570ba9991cf24cbf, 0x765c56a381d9b039, 0x7ef36e3ff1762f19, 0x6286d29880bca908, 0x5c10aa42ad32eec7, 0x6ccd13a1f5f3002e}, false},
+		{0x8000000000000001, []uint64{0x7ef36e3ff1762f32, 0x6286d29880bca91c, 0x5c10aa42ad32eed9, 0x6174b739374bb23f, 0x2534edcc39d7c4b2, 0x6687f6d49803635b, 0x705aad345cb33bfd, 0x6cfa59aa761c226a}, true},
+		{0xc000000000000000, []uint64{0x101a086289231550, 0x48c3a324d1ccebde, 0x82917e65ab6b7338, 0xb18a81f542c68878, 0x8a18ff6403cc6645, 0xa3339d72f0ec8065, 0x922f12d5d2f18b5e, 0x7000c9079987cd2d}, true},
+		{0xffffffffffffffff, []uint64{0x15780b2e0c2ec715, 0x6104d9866d113a7d, 0xae17533239e499a0, 0xecb8ad4703b360a0, 0xfde6dc7fe2ec5e63, 0xc50da53101795237, 0xb82154855a65ddb1, 0xd99a2743ebe60086}, false},
+	} {
+		r, draws := New(42), New(42)
+		rejected := 0
+		for i, want := range tc.want {
+			if got := r.Uint64n(tc.n); got != want {
+				t.Fatalf("Uint64n(%#x) draw %d = %#x, want %#x", tc.n, i, got, want)
+			}
+			// Advance a twin source one Uint64 per draw, plus one per
+			// rejected sample, until it catches up.
+			draws.Uint64()
+			for draws.s != r.s {
+				draws.Uint64()
+				rejected++
+			}
 		}
-		// hi must match floor(a*b / 2^64) computed via halves.
-		a0, a1 := a&0xffffffff, a>>32
-		b0, b1 := b&0xffffffff, b>>32
-		t1 := a1*b0 + (a0*b0)>>32
-		w1 := t1&0xffffffff + a0*b1
-		want := a1*b1 + t1>>32 + w1>>32
-		return hi == want
+		if (rejected > 0) != tc.rejects {
+			t.Fatalf("Uint64n(%#x): %d rejected samples, want rejections: %t", tc.n, rejected, tc.rejects)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		n    int
+		want []int
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0, 0, 0}},
+		{5, []int{2, 4, 3, 0, 0, 1, 4, 0}},
+		{100, []int{56, 95, 67, 7, 16, 28, 81, 7}},
+		{2147483647, []int{1211357769, 2060216210, 1450018636, 164253550, 349759322, 609660649, 1742741072, 166618788}},
+	} {
+		r := New(43)
+		for i, want := range tc.want {
+			if got := r.Intn(tc.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", tc.n, i, got, want)
+			}
+		}
 	}
 }

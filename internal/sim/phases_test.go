@@ -36,15 +36,15 @@ func TestPhaseTimersDoNotChangeResults(t *testing.T) {
 		if !reflect.DeepEqual(base, res) {
 			t.Fatalf("phase timers (sample %d) changed the result:\noff: %+v\non:  %+v", sample, base, res)
 		}
-		// The timers must actually have measured something. (At this
-		// reduced footprint the LLC absorbs most reads, so only the step
-		// total and the metadata phases are guaranteed to be nonzero.)
+		// The timers must actually have measured something. Every secure
+		// access, read miss or writeback, runs inside the secmem phase, so
+		// on every-op timing it covers the metadata-cache time nested in it.
 		bd := pt.Breakdown()
 		if bd["step"] == 0 {
 			t.Fatalf("sample %d: no step time accumulated: %v", sample, bd)
 		}
-		if sample == 1 && bd["meta_cache"] == 0 && bd["secmem"] == 0 {
-			t.Fatalf("every-op timers saw no sub-phase time at all: %v", bd)
+		if sample == 1 && (bd["secmem"] == 0 || bd["secmem"] < bd["meta_cache"]) {
+			t.Fatalf("every-op timers: secmem must be nonzero and cover meta_cache: %v", bd)
 		}
 	}
 }

@@ -231,12 +231,12 @@ func NewMachine(cfg *config.Config, scheme config.Scheme, mix workload.Mix, part
 		proc := osmodel.NewProcess(pi+1, domain, fr, levels)
 		proc.OnPageMap = m.onPageMap
 		proc.OnPageUnmap = m.onPageUnmap
-		for ti := 0; ti < prof.Threads; ti++ {
+		gens := workload.NewGenerators(prof, cfg.Sim.Seed^uint64(domain)<<8,
+			workload.GenOpts{Scale: cfg.Sim.FootprintScale, InitFrac: cfg.Sim.InitFrac})
+		for _, gen := range gens {
 			if coreIdx >= cfg.Core.Count {
 				return nil, fmt.Errorf("sim: mix %s needs more than %d cores", mix.Name, cfg.Core.Count)
 			}
-			gen := workload.NewGenerator(prof, cfg.Sim.Seed^uint64(domain)<<8, ti,
-				workload.GenOpts{Scale: cfg.Sim.FootprintScale, InitFrac: cfg.Sim.InitFrac})
 			t := &thread{
 				gen:   gen,
 				proc:  proc,
@@ -453,10 +453,12 @@ func (m *Machine) step(t *thread) error {
 		if r3.Hit {
 			missLat = float64(cc.L3Latency)
 		} else {
+			smT := m.phases.Start()
 			res, err := m.mem.Do(secmem.AccessRequest{
 				Now: uint64(t.cycles), Domain: dom, VPN: vpn, PFN: pfn,
 				Block: ev.Block, Write: false,
 			})
+			m.phases.End(telemetry.PhaseSecMem, smT)
 			if err != nil {
 				return fmt.Errorf("sim: %s: %w", t.bench, err)
 			}

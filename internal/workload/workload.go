@@ -89,7 +89,8 @@ type Generator struct {
 	// perm scatters zipf rank over the virtual address space so that page
 	// hotness is independent of virtual address (and hence of first-touch
 	// allocation order), as in real programs. Threads of one process
-	// build identical permutations (same process seed).
+	// have identical permutations (same process seed); NewGenerators
+	// shares one between them. Never written after construction.
 	perm []uint32
 
 	// Initialization sweep state: each thread touches its share of the
@@ -130,6 +131,25 @@ type GenOpts struct {
 // be the process seed (threads of one process pass the same seed with
 // their own thread index).
 func NewGenerator(p Profile, seed uint64, thread int, opts GenOpts) *Generator {
+	return newGenerator(p, seed, thread, opts, nil)
+}
+
+// NewGenerators builds the generators of every thread of a process, in
+// thread order. Each is the generator NewGenerator builds for its thread,
+// but the threads share one VA permutation, built once and only read.
+func NewGenerators(p Profile, seed uint64, opts GenOpts) []*Generator {
+	gens := make([]*Generator, p.Threads)
+	var perm []uint32
+	for ti := range gens {
+		gens[ti] = newGenerator(p, seed, ti, opts, perm)
+		perm = gens[ti].perm
+	}
+	return gens
+}
+
+// newGenerator builds one thread's generator. perm is the process's VA
+// permutation when a sibling thread already built it, else nil.
+func newGenerator(p Profile, seed uint64, thread int, opts GenOpts, perm []uint32) *Generator {
 	scale := opts.Scale
 	if scale <= 0 {
 		scale = 1
@@ -151,14 +171,17 @@ func NewGenerator(p Profile, seed uint64, thread int, opts GenOpts) *Generator {
 		r:        rng.New(seed ^ (uint64(thread)+1)*0x9e3779b97f4a7c15),
 		hotPages: hot,
 		pages:    pages,
+		perm:     perm,
 	}
-	// Process-level permutation: identical across threads.
-	pr := rng.New(seed ^ 0x50e21f0e21)
-	g.perm = make([]uint32, pages)
-	for i := range g.perm {
-		j := pr.Intn(i + 1)
-		g.perm[i] = g.perm[j]
-		g.perm[j] = uint32(i)
+	if g.perm == nil {
+		// Process-level permutation: identical across threads.
+		pr := rng.New(seed ^ 0x50e21f0e21)
+		g.perm = make([]uint32, pages)
+		for i := range g.perm {
+			j := pr.Intn(i + 1)
+			g.perm[i] = g.perm[j]
+			g.perm[j] = uint32(i)
+		}
 	}
 	g.hotZipf = rng.NewZipf(hot, 0.9)
 	g.coldZipf = rng.NewZipf(pages, p.Zipf)

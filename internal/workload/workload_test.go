@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"ivleague/internal/config"
@@ -177,6 +178,35 @@ func TestThreadsShareHotSetButSplitStreams(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if g0.perm[i] != g1.perm[i] {
 			t.Fatal("threads disagree on the VA permutation")
+		}
+	}
+}
+
+// TestNewGeneratorsMatchesNewGenerator checks that generators sharing one
+// permutation produce each thread's NewGenerator stream, churn callbacks
+// included, and that they really share it.
+func TestNewGeneratorsMatchesNewGenerator(t *testing.T) {
+	p, _ := ByName("dedup") // 2 threads, ChurnPeriod 25000
+	opts := GenOpts{Scale: 0.1, InitFrac: 0.2}
+	gens := NewGenerators(p, 13, opts)
+	if len(gens) != p.Threads {
+		t.Fatalf("%d generators for %d threads", len(gens), p.Threads)
+	}
+	if &gens[0].perm[0] != &gens[1].perm[0] {
+		t.Fatal("threads of one process built separate permutations")
+	}
+	for ti, g := range gens {
+		ref := NewGenerator(p, 13, ti, opts)
+		var churn, refChurn []uint64
+		g.OnFreeRange = func(start uint64, n int) { churn = append(churn, start, uint64(n)) }
+		ref.OnFreeRange = func(start uint64, n int) { refChurn = append(refChurn, start, uint64(n)) }
+		for i := 0; i < 100_000; i++ {
+			if e, want := g.Next(), ref.Next(); e != want {
+				t.Fatalf("thread %d, event %d: %+v, NewGenerator %+v", ti, i, e, want)
+			}
+		}
+		if len(refChurn) == 0 || !reflect.DeepEqual(churn, refChurn) {
+			t.Fatalf("thread %d: churn %v, NewGenerator %v", ti, churn, refChurn)
 		}
 	}
 }
