@@ -173,17 +173,13 @@ func main() {
 	reg := telemetry.NewRegistry()
 	metrics.Register(reg)
 
-	// The live observability server: progress over every fan-out, the
-	// shared registry's metrics, and guarded pprof.
-	var prog *obs.Progress
+	// The live observability server: the sweep ledger's progress over
+	// every fan-out, the shared registry's metrics, and guarded pprof.
 	if *httpAddr != "" {
-		prog = obs.NewProgress()
-		prog.Register(reg)
-		opts.Observer = prog
 		srv, err := obs.StartServer(obs.ServerConfig{
 			Addr:     *httpAddr,
 			Snapshot: reg.Snapshot,
-			Progress: func() obs.ProgressReport { return prog.Report(int64(metrics.Degraded.Load())) },
+			Progress: metrics.Progress,
 			Profiles: profGuard,
 		})
 		if err != nil {
@@ -293,9 +289,4 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "ivbench: %s in %s\n", metrics.Summary(), time.Since(start).Round(time.Millisecond))
-	if prog != nil {
-		r := prog.Report(-1)
-		fmt.Fprintf(os.Stderr, "ivbench: progress: %d/%d cells done, %d failed, cell latency p50/p99 %dms/%dms\n",
-			r.DoneCells, r.TotalCells, r.FailedCells, r.Latency.P50Ms, r.Latency.P99Ms)
-	}
 }

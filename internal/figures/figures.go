@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"ivleague/internal/analysis"
 	"ivleague/internal/attack"
@@ -51,13 +50,6 @@ type Options struct {
 	TraceDir string
 	// TraceSample records every Nth traced event (<= 0: every event).
 	TraceSample int
-	// Observer, when non-nil, receives fan-out lifecycle callbacks from
-	// the run engine: FanOut(n) when a fan-out of n cells starts, and
-	// CellDone(d, failed) as each cell completes (from worker
-	// goroutines — implementations must be concurrency-safe; the obs
-	// package's Progress tracker is the canonical one). Reporting only:
-	// callbacks never reach simulation state or an emitted table.
-	Observer CellObserver
 	// Sweep is the engine every cell runs through. Its timeout, panic
 	// recovery and failure budget contain each cell; a failing cell
 	// within the budget renders as a "deg" table entry. An engine with a
@@ -68,16 +60,6 @@ type Options struct {
 	// first failing cell is an error. Cached and uncached sweeps emit
 	// byte-identical tables.
 	Sweep *sweep.Engine
-}
-
-// CellObserver observes the run engine's fan-outs (see
-// Options.Observer). obs.Progress implements it.
-type CellObserver interface {
-	// FanOut announces that n more cells are about to run.
-	FanOut(n int)
-	// CellDone reports one completed cell's wall-clock duration and
-	// whether it errored.
-	CellDone(d time.Duration, failed bool)
 }
 
 // PerfSchemes are the four schemes of Figures 15/16/18/19.

@@ -17,6 +17,9 @@ import (
 func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, par := range []int{1, 2, 8, 100} {
 		o := &Options{Parallelism: par}
+		if err := o.begin(); err != nil {
+			t.Fatal(err)
+		}
 		const n = 37
 		var hits [n]int32
 		if err := o.forEach(n, func(i int) error {
@@ -35,6 +38,9 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 
 func TestForEachJoinsErrorsInIndexOrder(t *testing.T) {
 	o := &Options{Parallelism: 4}
+	if err := o.begin(); err != nil {
+		t.Fatal(err)
+	}
 	var ran int32
 	err := o.forEach(10, func(i int) error {
 		atomic.AddInt32(&ran, 1)
@@ -74,7 +80,9 @@ func TestSweepCellContainsPanics(t *testing.T) {
 func TestSyncWriterKeepsLinesIntact(t *testing.T) {
 	var buf bytes.Buffer
 	o := &Options{Parallelism: 8, Progress: &buf}
-	o.lockProgress()
+	if err := o.begin(); err != nil {
+		t.Fatal(err)
+	}
 	if err := o.forEach(200, func(i int) error {
 		o.progress("line %d of a progress report", i)
 		return nil
@@ -92,7 +100,7 @@ func TestSyncWriterKeepsLinesIntact(t *testing.T) {
 		switch {
 		case strings.HasPrefix(l, "line ") && strings.HasSuffix(l, "of a progress report"):
 			fnLines++
-		case strings.HasPrefix(l, "[") && strings.Contains(l, "] cell ") && strings.Contains(l, " done in "):
+		case strings.HasPrefix(l, "[") && strings.Contains(l, "] cell ") && strings.HasSuffix(l, " done"):
 			cellLines++
 		default:
 			t.Fatalf("interleaved progress line: %q", l)
@@ -100,6 +108,9 @@ func TestSyncWriterKeepsLinesIntact(t *testing.T) {
 	}
 	if fnLines != 200 || cellLines != 200 {
 		t.Fatalf("got %d fn lines and %d completion lines, want 200 each", fnLines, cellLines)
+	}
+	if got := o.Sweep.Metrics().Progress().TotalCells; got != 200 {
+		t.Fatalf("forEach planned %d cells in the ledger, want 200", got)
 	}
 	// Wrapping twice must not double-lock.
 	w := o.Progress

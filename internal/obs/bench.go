@@ -7,10 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
 	"ivleague/internal/atomicio"
+	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 )
 
@@ -220,12 +220,12 @@ func MeasureScenario(s Scenario, reps, warmup int) (Measurement, error) {
 		bytes = append(bytes, float64(ms1.TotalAlloc-ms0.TotalAlloc)/work)
 	}
 	m.SamplesNsPerOp = nsPerOp
-	m.NsPerOp = median(nsPerOp)
+	m.NsPerOp = stats.Percentile(nsPerOp, 50)
 	if m.NsPerOp > 0 {
 		m.OpsPerSec = 1e9 / m.NsPerOp
 	}
-	m.AllocsPerOp = median(allocs)
-	m.BytesPerOp = median(bytes)
+	m.AllocsPerOp = stats.Percentile(allocs, 50)
+	m.BytesPerOp = stats.Percentile(bytes, 50)
 	// Instrumented pass: phase timers sample host time per hot-path
 	// phase. Run separately so timer overhead never pollutes the timed
 	// reps.
@@ -239,31 +239,16 @@ func MeasureScenario(s Scenario, reps, warmup int) (Measurement, error) {
 	return m, nil
 }
 
-// median returns the middle value of vs (mean of the middle two for
-// even lengths); vs is copied.
-func median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
 // mad returns the median absolute deviation of vs — the robust spread
 // estimate the regression gate uses as its noise floor.
 func mad(vs []float64) float64 {
 	if len(vs) < 2 {
 		return 0
 	}
-	med := median(vs)
+	med := stats.Percentile(vs, 50)
 	devs := make([]float64, len(vs))
 	for i, v := range vs {
 		devs[i] = math.Abs(v - med)
 	}
-	return median(devs)
+	return stats.Percentile(devs, 50)
 }

@@ -1,12 +1,12 @@
 // Package obs is the performance-observability plane: it turns the
 // telemetry layer's pull-based metrics into consumable surfaces — a live
 // HTTP control server (/metrics in Prometheus text exposition, /progress
-// as JSON, /healthz, net/http/pprof), a concurrent sweep-progress tracker
-// with rolling-rate ETAs, and the in-process benchmark harness behind
-// cmd/ivperf that records the repo's BENCH_*.json performance trajectory.
+// as JSON from the sweep ledger, /healthz, net/http/pprof), and the
+// in-process benchmark harness behind cmd/ivperf that records the repo's
+// BENCH_*.json performance trajectory.
 //
 // Nothing in this package reaches simulation state: every surface reads
-// snapshots (telemetry.Snapshot, ProgressReport) that the owning
+// snapshots (telemetry.Snapshot, sweep.ProgressReport) that the owning
 // goroutine publishes, so attaching the plane to a run cannot perturb
 // its results.
 package obs

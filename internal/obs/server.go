@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ivleague/internal/sweep"
 	"ivleague/internal/telemetry"
 )
 
@@ -69,8 +70,9 @@ type ServerConfig struct {
 	// it must be safe for concurrent use — a locked telemetry.Registry
 	// over atomic-backed sources, or a Publisher's Latest.
 	Snapshot func() telemetry.Snapshot
-	// Progress supplies /progress.
-	Progress func() ProgressReport
+	// Progress supplies /progress: the sweep ledger's report
+	// (sweep.Metrics.Progress).
+	Progress func() sweep.ProgressReport
 	// Profiles guards /debug/pprof/profile against a concurrently active
 	// -cpuprofile file; nil leaves the endpoint unguarded.
 	Profiles *CPUProfileGuard

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ivleague/internal/config"
-	"ivleague/internal/telemetry"
 )
 
 func testKey(unit string) CellKey {
@@ -490,21 +489,6 @@ func TestEngineCorruptEntryReSimulates(t *testing.T) {
 	out, err = e.Cell(key, &v2, func(context.Context) error { t.Error("re-ran"); return nil })
 	if err != nil || out != OutcomeHit || v2 != 9 {
 		t.Fatalf("rewrite not hit: %v %v v2=%d", out, err, v2)
-	}
-}
-
-func TestMetricsRegisterPublishesGauges(t *testing.T) {
-	var m Metrics
-	m.Hits.Add(3)
-	m.Degraded.Add(1)
-	reg := telemetry.NewRegistry()
-	m.Register(reg)
-	snap := reg.Snapshot()
-	if got := snap.Gauge("sweep.cache.hits"); got != 3 {
-		t.Fatalf("sweep.cache.hits = %v", got)
-	}
-	if got := snap.Gauge("sweep.cell.degraded"); got != 1 {
-		t.Fatalf("sweep.cell.degraded = %v", got)
 	}
 }
 
