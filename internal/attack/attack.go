@@ -257,7 +257,6 @@ func Run(cfg *config.Config, scheme config.Scheme, acfg Config) (*Result, error)
 			missN++
 		}
 	}
-	_ = probe
 	res.Accuracy = float64(correct) / float64(len(key))
 	if hitN > 0 {
 		res.MeanLatencyHit = hitSum / hitN

@@ -102,6 +102,38 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestFiguresShareMixCells pins the mix cell key: it holds what the
+// simulation reads, not the figure tag, so on one cache directory Fig20b's
+// default point (256 KB, the default tree cache) is answered from the
+// cells Run stored: three IvLeague schemes × the representative mixes. Its
+// table must equal an uncached Fig20b.
+func TestFiguresShareMixCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	want, err := Fig20b(killResumeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := killResumeOptions()
+	e := newSweepEngine(t, t.TempDir())
+	o.Sweep = e
+	if _, err := Run(o); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Metrics().Hits.Load()
+	got, err := Fig20b(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, wantHits := e.Metrics().Hits.Load()-before, 3*len(representativeMixes(o.Mixes)); int(hits) != wantHits {
+		t.Fatalf("Fig20b after Run: %d cells from the store, want %d", hits, wantHits)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("Fig20b from a shared cache diverges from an uncached run:\n-- uncached --\n%s\n-- shared --\n%s", want, got)
+	}
+}
+
 // TestKillAndResume hard-interrupts a sweep mid-flight with SIGKILL — no
 // signal handler, no draining, the worst possible crash — then resumes
 // over the survived cache and asserts the invariant from the design note:

@@ -42,9 +42,6 @@ type FrameAllocator struct {
 	free    []layout.PFN
 	freeSet map[layout.PFN]bool // mirrors free for O(1) double-free detection
 	inUse   uint64
-
-	Allocs stats.Counter
-	Frees  stats.Counter
 }
 
 // NewFrameAllocator creates an allocator over frames [lo, hi).
@@ -62,7 +59,6 @@ func (f *FrameAllocator) Alloc() (layout.PFN, error) {
 		f.free = f.free[:n-1]
 		delete(f.freeSet, pfn)
 		f.inUse++
-		f.Allocs.Inc()
 		return pfn, nil
 	}
 	if f.next >= f.hi {
@@ -71,7 +67,6 @@ func (f *FrameAllocator) Alloc() (layout.PFN, error) {
 	pfn := f.next
 	f.next++
 	f.inUse++
-	f.Allocs.Inc()
 	return pfn, nil
 }
 
@@ -89,7 +84,6 @@ func (f *FrameAllocator) Free(pfn layout.PFN) error {
 	f.free = append(f.free, pfn)
 	f.freeSet[pfn] = true
 	f.inUse--
-	f.Frees.Inc()
 	return nil
 }
 
@@ -119,8 +113,7 @@ type Process struct {
 	OnPageMap   func(domainID int, vpn layout.VPN, pfn layout.PFN)
 	OnPageUnmap func(domainID int, vpn layout.VPN, pfn layout.PFN)
 
-	PagesMapped stats.Counter
-	PagesFreed  stats.Counter
+	PagesFreed stats.Counter
 }
 
 // NewProcess creates a process with its own page table drawing frames from
@@ -147,7 +140,6 @@ func (p *Process) Touch(vpn layout.VPN) (pfn layout.PFN, fault bool, err error) 
 	if err := p.Table.Map(vpn, pfn); err != nil {
 		return 0, false, err
 	}
-	p.PagesMapped.Inc()
 	if p.OnPageMap != nil {
 		p.OnPageMap(p.DomainID, vpn, pfn)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ivleague/internal/config"
+	"ivleague/internal/ctr"
 	"ivleague/internal/layout"
 	"ivleague/internal/tree"
 )
@@ -210,15 +211,10 @@ func (c *Controller) ReadBlock(req AccessRequest, dst []byte) (AccessResult, err
 // BlockSnapshot captures a block's complete off-chip state (ciphertext,
 // MAC and counter block) for a later replay attack.
 type BlockSnapshot struct {
-	pfn   layout.PFN
-	block int
-	st    blockState
-	ctr   ctrSnapshot
-}
-
-type ctrSnapshot struct {
-	major  uint64
-	minors [config.BlocksPerPage]uint8
+	pfn     layout.PFN
+	block   int
+	st      blockState
+	counter ctr.Block
 }
 
 // SnapshotBlock records the current off-chip state of (pfn, block).
@@ -228,9 +224,7 @@ func (c *Controller) SnapshotBlock(pfn layout.PFN, block int) (*BlockSnapshot, e
 		addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
 		return nil, fmt.Errorf("%w: no data at %#x to snapshot", ErrNoTamperTarget, addr)
 	}
-	snap := c.counters.Snapshot(pfn)
-	return &BlockSnapshot{pfn: pfn, block: block, st: p.blocks[block],
-		ctr: ctrSnapshot{major: snap.Major, minors: snap.Minors}}, nil
+	return &BlockSnapshot{pfn: pfn, block: block, st: p.blocks[block], counter: c.counters.Snapshot(pfn)}, nil
 }
 
 // ReplayBlock restores an old (ciphertext, MAC, counter) triple into
@@ -241,7 +235,5 @@ func (c *Controller) ReplayBlock(s *BlockSnapshot) {
 	p := c.dataMem().ensure(s.pfn)
 	p.blocks[s.block] = s.st
 	p.setPresent(s.block)
-	blk := c.counters.Get(s.pfn)
-	blk.Major = s.ctr.major
-	blk.Minors = s.ctr.minors
+	*c.counters.Get(s.pfn) = s.counter
 }

@@ -47,8 +47,9 @@ type CellKey struct {
 	// Unit is the simulated unit: benchmark name, mix name, or grid-point
 	// label.
 	Unit string
-	// Extra carries remaining inputs not covered by Config — the figure
-	// tag, trial counts, derived seed labels.
+	// Extra carries remaining inputs not covered by Config — trial
+	// counts, derived seed labels. Labels that do not change the result
+	// (a figure tag) stay out, so equal cells share one entry.
 	Extra string
 	// Config is the cell's complete configuration; it is canonically
 	// encoded (deterministic JSON: struct fields in declaration order, no

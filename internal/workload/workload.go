@@ -219,11 +219,8 @@ func (g *Generator) InitInstr() uint64 {
 	return uint64(float64(remaining)/g.p.MemOpFrac) + remaining
 }
 
-// hotVPN maps a hot zipf rank to its scattered virtual page.
-func (g *Generator) hotVPN(rank uint64) uint64 { return uint64(g.perm[rank]) }
-
-// coldVPN maps a cold zipf rank to its scattered virtual page.
-func (g *Generator) coldVPN(rank uint64) uint64 { return uint64(g.perm[rank]) }
+// rankVPN maps a zipf rank, hot or cold, to its scattered virtual page.
+func (g *Generator) rankVPN(rank uint64) uint64 { return uint64(g.perm[rank]) }
 
 // Next produces the next instruction event.
 func (g *Generator) Next() Event {
@@ -282,11 +279,11 @@ func (g *Generator) Next() Event {
 			}
 		}
 	case g.r.Bool(g.p.HotProb):
-		ev.VPN = g.hotVPN(g.hotZipf.Next(g.r))
+		ev.VPN = g.rankVPN(g.hotZipf.Next(g.r))
 		ev.Block = g.r.Intn(config.BlocksPerPage)
 		g.startBurst(ev.VPN)
 	default:
-		ev.VPN = g.coldVPN(g.coldZipf.Next(g.r))
+		ev.VPN = g.rankVPN(g.coldZipf.Next(g.r))
 		ev.Block = g.r.Intn(config.BlocksPerPage)
 		g.startBurst(ev.VPN)
 	}
