@@ -12,27 +12,29 @@
 //     normal fills never use them, modelling the capacity IvLeague's root
 //     locking takes for the tree levels above the TreeLing roots.
 //
-// The replacement state lives in one flat uint64 arena with each set's
-// block laid out contiguously: the way tags first, then the last-use
-// stamps packed two-per-word as uint32 halves, then one word of dirty
-// bits. The tag-match loop — the hottest loop in the whole simulator —
-// thus scans ways*8 contiguous bytes, the LRU victim scan stays inside
-// the same one or two host cache lines, and invalid ways carry a sentinel
-// tag so the hit path needs no validity check.
+// Each set is a run of uint64 entries kept in recency order: entry 0 is
+// the most recently used line, valid entries precede empty ones, and the
+// last valid entry is the LRU victim. An entry packs the line address
+// and the dirty bit (lineAddr<<1 | dirty), so a set of the 16-way LLC is
+// 128 bytes and one of the 8-way L1 is a single 64-byte host line. A hit
+// moves its entry to the front; a miss evicts the last entry and shifts
+// the set down by one. The order is the whole replacement state.
+// Reserved ways never hold a line, so they take no storage (DESIGN.md
+// §16).
 package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"ivleague/internal/config"
 	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 )
 
-// invalidTag marks an empty way. Real tags are line addresses
-// (byte address >> lineShift, so at most 2^58 with 64-byte lines) and can
-// never collide with it.
+// invalidTag marks an empty entry. A line address is a byte address >>
+// lineShift, so below 2^58 with 64-byte lines: no entry can equal the
+// sentinel, and invalidTag>>1 matches no line, so the hit test needs no
+// validity check.
 const invalidTag = ^uint64(0)
 
 // Result describes the outcome of a cache access.
@@ -54,16 +56,12 @@ type Result struct {
 // memory model.
 type Cache struct {
 	cfg       config.CacheConfig
-	ways      int
-	stride    int      // uint64 words per set block (64-byte aligned)
-	luOff     int      // word offset of the packed last-use stamps
-	flagsOff  int      // word offset of the dirty-bit word
-	data      []uint64 // nsets * stride words
+	ways      int      // entries per set: the ways that take fills
+	setShift  uint     // log2 of the padded entries per set
+	data      []uint64 // nsets << setShift entries, each set in recency order
 	setMask   uint64
 	lineShift uint
 	key       uint64 // randomized-indexing key
-	tick      uint64
-	reserved  int // ways [0,reserved) never take a fill
 
 	Hits      stats.Counter
 	Misses    stats.Counter
@@ -81,36 +79,24 @@ func New(cfg config.CacheConfig, seed uint64, reservedWays int) (*Cache, error) 
 	if reservedWays < 0 || reservedWays >= cfg.Ways {
 		return nil, fmt.Errorf("cache: reservedWays %d must leave at least one normal way of %d", reservedWays, cfg.Ways)
 	}
-	if cfg.Ways > 32 {
-		return nil, fmt.Errorf("cache: %d ways exceed the 32-way bit-mask limit", cfg.Ways)
-	}
 	nsets := cfg.Sets()
 	c := &Cache{
-		cfg:      cfg,
-		ways:     cfg.Ways,
-		setMask:  uint64(nsets - 1),
-		key:      seed ^ 0x9e3779b97f4a7c15,
-		reserved: reservedWays,
+		cfg:     cfg,
+		ways:    cfg.Ways - reservedWays,
+		setMask: uint64(nsets - 1),
+		key:     seed ^ 0x9e3779b97f4a7c15,
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
+	for 1<<c.lineShift < cfg.LineBytes {
+		c.lineShift++
 	}
-	c.lineShift = shift
-	c.luOff = c.ways
-	c.flagsOff = c.luOff + (c.ways+1)/2
-	c.stride = c.flagsOff + 1
-	// Round the block up to a whole number of 64-byte lines so sets never
-	// share a host cache line.
-	if r := c.stride % 8; r != 0 {
-		c.stride += 8 - r
+	// Pad each set to a power of two entries so that no set straddles
+	// more 64-byte host lines than its size needs.
+	for 1<<c.setShift < c.ways {
+		c.setShift++
 	}
-	c.data = make([]uint64, nsets*c.stride)
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			c.data[base+w] = invalidTag
-		}
+	c.data = make([]uint64, nsets<<c.setShift)
+	for i := range c.data {
+		c.data[i] = invalidTag
 	}
 	return c, nil
 }
@@ -132,51 +118,10 @@ func (c *Cache) index(lineAddr uint64) uint64 {
 	return x & c.setMask
 }
 
-// lastUse reads way i's last-use stamp in the set block at base.
-func (c *Cache) lastUse(base, i int) uint64 {
-	return c.data[base+c.luOff+i/2] >> (uint(i&1) * 32) & 0xffffffff
-}
-
-// setLastUse stores way i's last-use stamp in the set block at base.
-func (c *Cache) setLastUse(base, i int, v uint64) {
-	w := &c.data[base+c.luOff+i/2]
-	sh := uint(i&1) * 32
-	*w = *w&^(0xffffffff<<sh) | v<<sh
-}
-
-// tickNext advances the replacement clock. Stamps are stored as uint32, so
-// when the clock reaches the 32-bit ceiling every stored stamp is
-// renumbered by rank — an order-preserving compaction that leaves all
-// future LRU decisions exactly as they would have been with unbounded
-// stamps.
-func (c *Cache) tickNext() uint64 {
-	if c.tick == 1<<32-1 {
-		c.renormalize()
-	}
-	c.tick++
-	return c.tick
-}
-
-func (c *Cache) renormalize() {
-	type stamp struct {
-		base, way int
-		v         uint64
-	}
-	var all []stamp
-	nsets := int(c.setMask) + 1
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			if v := c.lastUse(base, w); v != 0 {
-				all = append(all, stamp{base, w, v})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	for rank, s := range all {
-		c.setLastUse(s.base, s.way, uint64(rank)+1)
-	}
-	c.tick = uint64(len(all))
+// set returns the recency-ordered entries of lineAddr's set.
+func (c *Cache) set(lineAddr uint64) []uint64 {
+	base := int(c.index(lineAddr)) << c.setShift
+	return c.data[base : base+c.ways]
 }
 
 // Access looks up addr (a byte address), filling on a miss. write marks the
@@ -184,62 +129,41 @@ func (c *Cache) renormalize() {
 //
 //ivlint:hotpath
 func (c *Cache) Access(addr uint64, write bool) Result {
-	now := c.tickNext()
 	lineAddr := addr >> c.lineShift
-	base := int(c.index(lineAddr)) * c.stride
-	tags := c.data[base : base+c.ways]
+	set := c.set(lineAddr)
+	var dirty uint64
+	if write {
+		dirty = 1
+	}
 	res := Result{Latency: c.cfg.HitLatency}
-	for i, t := range tags {
-		if t == lineAddr {
-			c.setLastUse(base, i, now)
-			if write {
-				c.data[base+c.flagsOff] |= 1 << uint(i)
-			}
+	for i, e := range set {
+		if e>>1 == lineAddr {
+			copy(set[1:i+1], set[:i])
+			set[0] = e | dirty
 			res.Hit = true
 			c.Hits.Inc()
 			return res
 		}
 	}
 	c.Misses.Inc()
-	// Fill: choose an invalid or LRU way among the non-reserved ways. New
-	// guarantees reserved < ways, so the first candidate always exists and
-	// victim selection is total.
-	victim := c.reserved
-	vLU := c.lastUse(base, victim)
-	for i := c.reserved; i < len(tags); i++ {
-		if tags[i] == invalidTag {
-			victim = i
-			break
-		}
-		if lu := c.lastUse(base, i); lu < vLU {
-			victim, vLU = i, lu
-		}
-	}
-	flags := &c.data[base+c.flagsOff]
-	dirtyBit := uint64(1) << uint(victim)
-	if tags[victim] != invalidTag {
+	if lru := set[len(set)-1]; lru != invalidTag {
 		res.Evicted = true
 		c.Evictions.Inc()
-		if *flags&dirtyBit != 0 {
+		if lru&1 != 0 {
 			res.EvictedDirty = true
-			res.WritebackAddr = tags[victim] << c.lineShift
+			res.WritebackAddr = lru >> 1 << c.lineShift
 		}
 	}
-	tags[victim] = lineAddr
-	c.setLastUse(base, victim, now)
-	*flags &^= dirtyBit
-	if write {
-		*flags |= dirtyBit
-	}
+	copy(set[1:], set)
+	set[0] = lineAddr<<1 | dirty
 	return res
 }
 
 // Probe reports whether addr is present without changing any state.
 func (c *Cache) Probe(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
-	base := int(c.index(lineAddr)) * c.stride
-	for _, t := range c.data[base : base+c.ways] {
-		if t == lineAddr {
+	for _, e := range c.set(lineAddr) {
+		if e>>1 == lineAddr {
 			return true
 		}
 	}
@@ -250,36 +174,25 @@ func (c *Cache) Probe(addr uint64) bool {
 // and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	lineAddr := addr >> c.lineShift
-	base := int(c.index(lineAddr)) * c.stride
-	for i, t := range c.data[base : base+c.ways] {
-		if t == lineAddr {
-			bit := uint64(1) << uint(i)
-			present, dirty = true, c.data[base+c.flagsOff]&bit != 0
-			c.data[base+i] = invalidTag
-			c.setLastUse(base, i, 0)
-			c.data[base+c.flagsOff] &^= bit
-			return
+	set := c.set(lineAddr)
+	for i, e := range set {
+		if e>>1 == lineAddr {
+			copy(set[i:], set[i+1:])
+			set[len(set)-1] = invalidTag
+			return true, e&1 != 0
 		}
 	}
-	return
+	return false, false
 }
 
 // Flush invalidates every line, returning the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	dirty := 0
-	nsets := int(c.setMask) + 1
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		flags := c.data[base+c.flagsOff]
-		for w := 0; w < c.ways; w++ {
-			if c.data[base+w] != invalidTag && flags&(1<<uint(w)) != 0 {
-				dirty++
-			}
-			c.data[base+w] = invalidTag
+	for i, e := range c.data {
+		if e != invalidTag && e&1 != 0 {
+			dirty++
 		}
-		for w := c.luOff; w < c.stride; w++ {
-			c.data[base+w] = 0
-		}
+		c.data[i] = invalidTag
 	}
 	return dirty
 }
@@ -301,17 +214,14 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".evictions", &c.Evictions)
 }
 
-// Occupancy returns the fraction of lines currently valid.
+// Occupancy returns the fraction of lines currently valid, over all
+// cfg.Ways ways of every set (reserved ways count as empty).
 func (c *Cache) Occupancy() float64 {
 	valid := 0
-	nsets := int(c.setMask) + 1
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			if c.data[base+w] != invalidTag {
-				valid++
-			}
+	for _, e := range c.data {
+		if e != invalidTag {
+			valid++
 		}
 	}
-	return float64(valid) / float64(nsets*c.ways)
+	return float64(valid) / float64(c.cfg.Sets()*c.cfg.Ways)
 }

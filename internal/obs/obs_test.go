@@ -580,3 +580,30 @@ func TestMedianAndMAD(t *testing.T) {
 		t.Fatalf("mad = %v", got)
 	}
 }
+
+// TestCacheAccessScenarioSteady runs the cache/access scenario past its
+// warmup rep and checks that it counts one op per stream entry and that
+// a warm rep allocates nothing, the contract its Steady flag gates.
+func TestCacheAccessScenarioSteady(t *testing.T) {
+	s, err := cacheAccessScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Steady {
+		t.Fatal("cache/access must be a Steady scenario")
+	}
+	work, err := s.Run(nil) // builds the caches and the stream
+	if err != nil {
+		t.Fatal(err)
+	}
+	if work != 1<<20 {
+		t.Fatalf("work = %v ops, want one per stream entry (%d)", work, 1<<20)
+	}
+	if avg := testing.AllocsPerRun(1, func() {
+		if _, err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("warm cache/access rep allocates %v times", avg)
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"ivleague/internal/analysis"
+	"ivleague/internal/cache"
 	"ivleague/internal/config"
 	"ivleague/internal/layout"
+	"ivleague/internal/rng"
 	"ivleague/internal/secmem"
 	"ivleague/internal/sim"
 	"ivleague/internal/sweep"
@@ -138,6 +140,99 @@ func steadyAccessScenario() (Scenario, error) {
 	}, nil
 }
 
+// cacheAccessStream is the shape of the cache/access scenario's stream:
+// its length, a working set four times the LLC, the generator's re-touch
+// probability and ring, and the write fraction.
+type cacheAccessStream struct {
+	Entries, WorkingSetLines int
+	ReuseProb                float64
+	Ring                     int
+	WriteFrac                float64
+	Seed                     uint64
+}
+
+// cacheAccessScenario builds the cache-model microscenario: one core's
+// config.Default() L1, L2 and LLC driven by a stream precomputed from a
+// fixed seed. Like workload.Generator, 80% of entries re-touch a line of
+// a 96-line ring of recent fresh draws; the rest draw uniformly from a
+// working set four times the LLC. Lookups chain L1 → L2 → LLC on misses
+// and dirty victims are written one level down, as in sim.Machine's step.
+// The caches are built on the first Run (the warmup rep) and stay warm
+// across reps. Work is counted in stream entries; the scenario is Steady.
+func cacheAccessScenario() (Scenario, error) {
+	cfg := config.Default()
+	st := cacheAccessStream{
+		Entries: 1 << 20, WorkingSetLines: 4 * cfg.L3.SizeBytes / cfg.L3.LineBytes,
+		ReuseProb: 0.8, Ring: 96, WriteFrac: 0.3, Seed: 42,
+	}
+	fp, err := sweep.CellKey{
+		Kind: "perf", Unit: "cache-access", Extra: "ivperf-v1",
+		Config: []any{cfg.L1, cfg.L2, cfg.L3, cfg.Sim.Seed, st},
+	}.Fingerprint()
+	if err != nil {
+		return Scenario{}, err
+	}
+	var l1, l2, l3 *cache.Cache
+	var stream []uint64 // line addresses, bit 0 set for a write
+	return Scenario{
+		Name:        "cache/access",
+		Fingerprint: fp,
+		Steady:      true,
+		Run: func(_ *telemetry.PhaseTimers) (float64, error) {
+			if stream == nil {
+				var err error
+				if l1, err = cache.New(cfg.L1, cfg.Sim.Seed, 0); err != nil {
+					return 0, err
+				}
+				if l2, err = cache.New(cfg.L2, cfg.Sim.Seed, 0); err != nil {
+					return 0, err
+				}
+				if l3, err = cache.New(cfg.L3, cfg.Sim.Seed^0x13c3ed, 0); err != nil {
+					return 0, err
+				}
+				r := rng.New(st.Seed)
+				ring := make([]uint64, st.Ring)
+				ringLen, ringPos := 0, 0
+				stream = make([]uint64, st.Entries)
+				for i := range stream {
+					var line uint64
+					if ringLen > 0 && r.Bool(st.ReuseProb) {
+						line = ring[r.Intn(ringLen)]
+					} else {
+						line = r.Uint64n(uint64(st.WorkingSetLines))
+						ring[ringPos] = line
+						ringPos = (ringPos + 1) % st.Ring
+						ringLen = min(ringLen+1, st.Ring)
+					}
+					stream[i] = line * uint64(cfg.L1.LineBytes)
+					if r.Bool(st.WriteFrac) {
+						stream[i] |= 1
+					}
+				}
+			}
+			for _, e := range stream {
+				r1 := l1.Access(e, e&1 != 0)
+				if r1.EvictedDirty {
+					if r := l2.Access(r1.WritebackAddr, true); r.EvictedDirty {
+						l3.Access(r.WritebackAddr, true)
+					}
+				}
+				if r1.Hit {
+					continue
+				}
+				r2 := l2.Access(e, false)
+				if r2.EvictedDirty {
+					l3.Access(r2.WritebackAddr, true)
+				}
+				if !r2.Hit {
+					l3.Access(e, false)
+				}
+			}
+			return float64(len(stream)), nil
+		},
+	}, nil
+}
+
 // mapProScenario builds the allocation-path scenario: a fresh
 // IvLeague-Pro controller with one domain maps pages until they span
 // mapProTreeLings TreeLings, so every conversion the Invert/Pro top-down
@@ -233,7 +328,7 @@ func Scenarios(quick bool) ([]Scenario, error) {
 			spec{config.SchemeIvLeaguePro, "L-2"},
 		)
 	}
-	out := make([]Scenario, 0, len(specs)+2)
+	out := make([]Scenario, 0, len(specs)+4)
 	for _, sp := range specs {
 		s, err := simScenario(sp.scheme, sp.mix)
 		if err != nil {
@@ -241,6 +336,11 @@ func Scenarios(quick bool) ([]Scenario, error) {
 		}
 		out = append(out, s)
 	}
+	ca, err := cacheAccessScenario()
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, ca)
 	steady, err := steadyAccessScenario()
 	if err != nil {
 		return nil, err

@@ -238,7 +238,7 @@ func (c *Controller) Do(req AccessRequest) (AccessResult, error) {
 			// The write path always updates the page's tree node.
 			lat += c.dram.Access(req.Now, c.lay.PTEAddr(req.Domain, req.VPN), false)
 		}
-		wlat, err := c.secureWrite(req.Now, req.Domain, req.PFN, req.Block, dataAddr, slot, lat)
+		wlat, err := c.secureWrite(req.Now, req.Domain, req.VPN, req.PFN, req.Block, dataAddr, slot, lat)
 		return AccessResult{Latency: wlat}, err
 	}
 	rlat, err := c.secureRead(req.Now, req.Domain, req.VPN, req.PFN, dataAddr, slot, lat, lmmMiss)
@@ -250,34 +250,9 @@ func (c *Controller) Do(req AccessRequest) (AccessResult, error) {
 func (c *Controller) secureRead(now uint64, domain int, vpn layout.VPN, pfn layout.PFN, dataAddr uint64, slot core.SlotID, lat int, lmmMiss bool) (int, error) {
 	c.DataReads.Inc()
 	dataLat := c.dram.Access(now, dataAddr, false)
-
-	// The counter address is statically mapped, so its fetch needs no
-	// leaf ID; the PTE read happens only when the verification walk runs.
-	ctrAddr, err := c.lay.CounterBlockAddr(pfn)
+	metaLat, verified, err := c.counterFetch(now, domain, vpn, pfn, slot, false, lmmMiss)
 	if err != nil {
 		return 0, err
-	}
-	mcT := c.phases.Start()
-	res := c.counterCache.Access(ctrAddr, false)
-	c.phases.End(telemetry.PhaseMetaCache, mcT)
-	metaLat := res.Latency
-	verified := false
-	if res.EvictedDirty {
-		c.dram.Access(now, res.WritebackAddr, true)
-	}
-	if !res.Hit {
-		metaLat += c.dram.Access(now, ctrAddr, false)
-		if lmmMiss && c.ivc != nil {
-			metaLat += c.dram.Access(now, c.lay.PTEAddr(domain, vpn), false)
-		}
-		twT := c.phases.Start()
-		walkLat, err := c.verifyWalk(now, domain, pfn, slot)
-		c.phases.End(telemetry.PhaseTreeWalk, twT)
-		if err != nil {
-			return 0, err
-		}
-		metaLat += walkLat
-		verified = true
 	}
 	if verified && c.functional {
 		cyT := c.phases.Start()
@@ -305,9 +280,9 @@ func (c *Controller) secureRead(now uint64, domain int, vpn layout.VPN, pfn layo
 
 // secureWrite: bump the counter (re-encrypting the page on minor
 // overflow), update the leaf tree node, write the encrypted data back.
-func (c *Controller) secureWrite(now uint64, domain int, pfn layout.PFN, block int, dataAddr uint64, slot core.SlotID, lat int) (int, error) {
+func (c *Controller) secureWrite(now uint64, domain int, vpn layout.VPN, pfn layout.PFN, block int, dataAddr uint64, slot core.SlotID, lat int) (int, error) {
 	c.DataWrites.Inc()
-	metaLat, walked, err := c.counterFetch(now, domain, pfn, slot, true)
+	metaLat, walked, err := c.counterFetch(now, domain, vpn, pfn, slot, true, false)
 	if err != nil {
 		return 0, err
 	}
@@ -369,8 +344,11 @@ func (c *Controller) secureWrite(now uint64, domain int, pfn layout.PFN, block i
 
 // counterFetch accesses the page's counter block through the counter
 // cache; a miss fetches it from memory and triggers a verification walk.
-// It returns the latency and whether a verification walk happened.
-func (c *Controller) counterFetch(now uint64, domain int, pfn layout.PFN, slot core.SlotID, write bool) (int, bool, error) {
+// The counter address is statically mapped, so the fetch needs no leaf
+// ID. The walk does: with readPTE (an LMM miss on the read path), the
+// page's extended PTE is read after the counter and before the walk. It
+// returns the latency and whether a verification walk happened.
+func (c *Controller) counterFetch(now uint64, domain int, vpn layout.VPN, pfn layout.PFN, slot core.SlotID, write, readPTE bool) (int, bool, error) {
 	ctrAddr, err := c.lay.CounterBlockAddr(pfn)
 	if err != nil {
 		return 0, false, err
@@ -386,6 +364,9 @@ func (c *Controller) counterFetch(now uint64, domain int, pfn layout.PFN, slot c
 		return lat, false, nil
 	}
 	lat += c.dram.Access(now, ctrAddr, false)
+	if readPTE {
+		lat += c.dram.Access(now, c.lay.PTEAddr(domain, vpn), false)
+	}
 	twT := c.phases.Start()
 	walkLat, err := c.verifyWalk(now, domain, pfn, slot)
 	c.phases.End(telemetry.PhaseTreeWalk, twT)
