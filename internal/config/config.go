@@ -19,6 +19,11 @@ const (
 	BlockShift     = 6
 	PageShift      = 12
 	BlockPageShift = PageShift - BlockShift
+
+	// MaxMinorBits is the widest minor counter: a page's counter block is
+	// one block, and 64 minors of 7 bits fill the 448 bits it has after
+	// the 64-bit major counter.
+	MaxMinorBits = (BlockBytes*8 - 64) / BlocksPerPage
 )
 
 // Scheme identifies one of the evaluated secure-memory schemes.
@@ -371,6 +376,9 @@ func (c *Config) Validate() error {
 	if a > 256 {
 		// SlotID packs the within-node slot index into 8 bits.
 		return fmt.Errorf("config: tree arity %d exceeds the SlotID slot field (max 256)", a)
+	}
+	if w := c.SecureMem.MinorBits; w < 1 || w > MaxMinorBits {
+		return fmt.Errorf("config: MinorBits %d must be in [1,%d]", w, MaxMinorBits)
 	}
 	iv := c.IvLeague
 	if iv.TreeLingHeight < 2 || iv.TreeLingHeight > 8 {

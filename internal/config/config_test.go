@@ -99,6 +99,8 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		func(c *Config) { c.Core.Count = 0 },
 		func(c *Config) { c.Core.MLP = 1.0 },
 		func(c *Config) { c.SecureMem.TreeArity = 6 },
+		func(c *Config) { c.SecureMem.MinorBits = 0 },
+		func(c *Config) { c.SecureMem.MinorBits = 8 },
 		func(c *Config) { c.IvLeague.TreeLingHeight = 1 },
 		func(c *Config) { c.IvLeague.RootLockWays = 8 },
 		func(c *Config) { c.IvLeague.HotRegionLeaves = 1 << 20 },

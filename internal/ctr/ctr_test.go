@@ -34,7 +34,7 @@ func TestMinorOverflow(t *testing.T) {
 	if over := s.Increment(1, 3); !over {
 		t.Fatal("expected overflow")
 	}
-	b := s.Peek(1)
+	b := s.Snapshot(1)
 	if b.Major != 1 {
 		t.Fatalf("major = %d, want 1", b.Major)
 	}
@@ -90,7 +90,7 @@ func TestSnapshotIsCopy(t *testing.T) {
 }
 
 func TestNewStoreRejectsBadWidth(t *testing.T) {
-	for _, w := range []int{0, 9, -1} {
+	for _, w := range []int{0, 8, 9, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {

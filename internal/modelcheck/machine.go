@@ -150,7 +150,10 @@ func (m *machine) opDestroy(d int) (outcome, *Violation) {
 func (m *machine) opMap(d int, v uint64) (outcome, *Violation) {
 	vpn := layout.VPN(v)
 	p := m.procs[d]
-	if p == nil || p.Table.Lookup(vpn) != nil {
+	if p == nil {
+		return outSkipped, nil
+	}
+	if _, mapped := p.Table.Lookup(vpn); mapped {
 		return outSkipped, nil
 	}
 	pfn, _, err := p.Touch(vpn)
@@ -180,7 +183,10 @@ func (m *machine) opMap(d int, v uint64) (outcome, *Violation) {
 func (m *machine) opUnmap(d int, v uint64) (outcome, *Violation) {
 	vpn := layout.VPN(v)
 	p := m.procs[d]
-	if p == nil || p.Table.Lookup(vpn) == nil {
+	if p == nil {
+		return outSkipped, nil
+	}
+	if _, mapped := p.Table.Lookup(vpn); !mapped {
 		return outSkipped, nil
 	}
 	if _, err := p.Unmap(vpn); err != nil {
@@ -198,14 +204,14 @@ func (m *machine) opAccess(d int, v uint64, write bool) (outcome, *Violation) {
 	if p == nil {
 		return outSkipped, nil
 	}
-	pte := p.Table.Lookup(vpn)
-	if pte == nil {
+	pfn, mapped := p.Table.Lookup(vpn)
+	if !mapped {
 		return outSkipped, nil
 	}
-	if _, ok := m.ctl.SlotOf(pte.PFN); !ok {
+	if _, ok := m.ctl.SlotOf(pfn); !ok {
 		return outSkipped, nil
 	}
-	req := secmem.AccessRequest{Domain: d, VPN: vpn, PFN: pte.PFN, Block: 0}
+	req := secmem.AccessRequest{Domain: d, VPN: vpn, PFN: pfn, Block: 0}
 	if write {
 		var payload [config.BlockBytes]byte
 		for i := range payload {
@@ -257,7 +263,7 @@ func (m *machine) enabledOps() []Op {
 		}
 		ops = append(ops, Op{Kind: OpDestroy, Domain: d})
 		for v := uint64(0); v < m.opts.VPNs; v++ {
-			if p.Table.Lookup(layout.VPN(v)) == nil {
+			if _, mapped := p.Table.Lookup(layout.VPN(v)); !mapped {
 				ops = append(ops, Op{Kind: OpMap, Domain: d, VPN: v})
 			} else {
 				ops = append(ops,
@@ -383,7 +389,8 @@ func (m *machine) fingerprint() string {
 		p := m.procs[d]
 		fmt.Fprintf(&b, "proc %d:", d)
 		for _, vpn := range p.Table.VPNs() {
-			fmt.Fprintf(&b, " %d=%d", vpn, p.Table.Lookup(vpn).PFN)
+			pfn, _ := p.Table.Lookup(vpn)
+			fmt.Fprintf(&b, " %d=%d", vpn, pfn)
 		}
 		fmt.Fprintln(&b)
 	}

@@ -130,8 +130,8 @@ func NewProcess(pid, domainID int, frames *FrameAllocator, ptLevels []uint) *Pro
 // Touch ensures vpn is mapped, allocating and mapping a frame on first
 // touch. It returns the PFN and whether a fault (new mapping) occurred.
 func (p *Process) Touch(vpn layout.VPN) (pfn layout.PFN, fault bool, err error) {
-	if pte := p.Table.Lookup(vpn); pte != nil {
-		return pte.PFN, false, nil
+	if pfn, ok := p.Table.Lookup(vpn); ok {
+		return pfn, false, nil
 	}
 	pfn, err = p.frames.Alloc()
 	if err != nil {
@@ -151,11 +151,10 @@ func (p *Process) Touch(vpn layout.VPN) (pfn layout.PFN, fault bool, err error) 
 // other error covers frame-accounting corruption (freeing a frame outside
 // the allocator's range), which must fail the run instead of crashing it.
 func (p *Process) Unmap(vpn layout.VPN) (bool, error) {
-	pte := p.Table.Lookup(vpn)
-	if pte == nil {
+	pfn, ok := p.Table.Lookup(vpn)
+	if !ok {
 		return false, fmt.Errorf("%w: vpn %#x", ErrNotMapped, uint64(vpn))
 	}
-	pfn := pte.PFN
 	if p.OnPageUnmap != nil {
 		p.OnPageUnmap(p.DomainID, vpn, pfn)
 	}

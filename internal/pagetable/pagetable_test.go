@@ -11,18 +11,17 @@ func TestMapLookupUnmap(t *testing.T) {
 	for _, levels := range [][]uint{ClassicLevels, IvLeagueLevels} {
 		pt := New(levels)
 		pt.Map(0x12345, 99)
-		pte := pt.Lookup(0x12345)
-		if pte == nil || pte.PFN != 99 {
-			t.Fatalf("lookup failed: %+v", pte)
+		if pfn, ok := pt.Lookup(0x12345); !ok || pfn != 99 {
+			t.Fatalf("lookup = %d, %v; want 99, true", pfn, ok)
 		}
 		if pt.Mapped() != 1 {
 			t.Fatalf("mapped %d", pt.Mapped())
 		}
 		old, ok := pt.Unmap(0x12345)
-		if !ok || old.PFN != 99 {
+		if !ok || old != 99 {
 			t.Fatal("unmap failed")
 		}
-		if pt.Lookup(0x12345) != nil || pt.Mapped() != 0 {
+		if _, ok := pt.Lookup(0x12345); ok || pt.Mapped() != 0 {
 			t.Fatal("entry survives unmap")
 		}
 	}
@@ -61,8 +60,7 @@ func TestDistinctVPNsNoAliasing(t *testing.T) {
 			seen[vpn] = uint64(i)
 		}
 		for vpn, pfn := range seen {
-			pte := fresh.Lookup(layout.VPN(vpn))
-			if pte == nil || uint64(pte.PFN) != pfn {
+			if got, ok := fresh.Lookup(layout.VPN(vpn)); !ok || uint64(got) != pfn {
 				return false
 			}
 		}
@@ -80,8 +78,41 @@ func TestVPNsDifferingOnlyInHighBits(t *testing.T) {
 	b := a | 1<<35 // top-level index differs
 	pt.Map(a, 1)
 	pt.Map(b, 2)
-	if pt.Lookup(a).PFN != 1 || pt.Lookup(b).PFN != 2 {
+	pa, _ := pt.Lookup(a)
+	pb, _ := pt.Lookup(b)
+	if pa != 1 || pb != 2 {
 		t.Fatal("high-bit aliasing")
+	}
+}
+
+// TestVPNBeyond36BitsRejected: the radix index keeps only VPNBits bits,
+// so a wider VPN would alias the VPN of its low bits. Map rejects it, and
+// Lookup and Unmap report it unmapped even when its alias is mapped.
+func TestVPNBeyond36BitsRejected(t *testing.T) {
+	for _, levels := range [][]uint{ClassicLevels, IvLeagueLevels} {
+		pt := New(levels)
+		wide := layout.VPN(1<<VPNBits + 5)
+		if err := pt.Map(wide, 7); err == nil {
+			t.Fatalf("Map(%#x) accepted a VPN wider than %d bits", uint64(wide), VPNBits)
+		}
+		if pt.Mapped() != 0 {
+			t.Fatalf("rejected Map left %d mapped", pt.Mapped())
+		}
+		if err := pt.Map(5, 9); err != nil {
+			t.Fatalf("Map(5) after the rejected alias: %v", err)
+		}
+		if pfn, ok := pt.Lookup(wide); ok {
+			t.Fatalf("Lookup(%#x) = %d, true; want unmapped", uint64(wide), pfn)
+		}
+		if _, ok := pt.Unmap(wide); ok {
+			t.Fatalf("Unmap(%#x) removed its alias VPN 5", uint64(wide))
+		}
+		if pfn, ok := pt.Lookup(5); !ok || pfn != 9 {
+			t.Fatalf("Lookup(5) = %d, %v; want 9, true", pfn, ok)
+		}
+		if err := pt.Map(1<<VPNBits-1, 3); err != nil {
+			t.Fatalf("Map of the largest VPN: %v", err)
+		}
 	}
 }
 

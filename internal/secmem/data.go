@@ -235,5 +235,5 @@ func (c *Controller) ReplayBlock(s *BlockSnapshot) {
 	p := c.dataMem().ensure(s.pfn)
 	p.blocks[s.block] = s.st
 	p.setPresent(s.block)
-	*c.counters.Get(s.pfn) = s.counter
+	c.counters.Set(s.pfn, s.counter)
 }

@@ -422,6 +422,39 @@ func TestWriteIncrementsCounterAndOverflowReencrypts(t *testing.T) {
 	}
 }
 
+// TestTamperCounterWrapsMinor bumps a minor that sits at its maximum: the
+// tamper wraps it to 0 within its field, leaves the major alone, and the
+// next verified read still catches it.
+func TestTamperCounterWrapsMinor(t *testing.T) {
+	cfg := testCfg()
+	cfg.SecureMem.MinorBits = 2
+	c, err := New(&cfg, config.SchemeBaseline, 0, WithFunctional())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CreateDomain(1)
+	mapPage(t, c, 1, 2, 2)
+	buf := make([]byte, 64)
+	for i := 0; i < 3; i++ { // minor 0 reaches 3, the 2-bit maximum
+		if _, err := c.WriteBlock(AccessRequest{Now: uint64(i), Domain: 1, VPN: 2, PFN: 2}, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.TamperCounter(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if blk := c.Counters().Snapshot(2); blk.Minors[0] != 0 || blk.Major != 0 {
+		t.Fatalf("tampered block major %d, minor 0 = %d; want major 0, minor wrapped to 0", blk.Major, blk.Minors[0])
+	}
+	c.FlushMetadata()
+	if _, err := readBlock(c, AccessRequest{Now: 10, Domain: 1, VPN: 2, PFN: 2}); err == nil {
+		t.Fatal("wrapped counter tamper verified")
+	}
+	if err := c.TamperCounter(3, 0); !errors.Is(err, ErrNoTamperTarget) {
+		t.Fatalf("tamper of a page without a counter block: %v, want ErrNoTamperTarget", err)
+	}
+}
+
 func TestEvictMetadataPrimitive(t *testing.T) {
 	c := newCtl(t, config.SchemeBaseline, false)
 	c.CreateDomain(1)

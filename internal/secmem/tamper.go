@@ -76,14 +76,16 @@ func (c *Controller) SpliceData(srcPfn layout.PFN, srcBlock int, dstPfn layout.P
 
 // TamperCounter bumps one minor counter in the off-chip counter block
 // without the tree/MAC maintenance a legitimate increment performs. The
+// minor wraps modulo 2^MinorBits, as its field holds no more bits. The
 // next verification walk over the page finds the counter-block hash
 // disagreeing with the tree.
 func (c *Controller) TamperCounter(pfn layout.PFN, block int) error {
-	blk := c.counters.Peek(pfn)
-	if blk == nil {
+	if !c.counters.Has(pfn) {
 		return fmt.Errorf("%w: no counter block for pfn %d", ErrNoTamperTarget, uint64(pfn))
 	}
+	blk := c.counters.Snapshot(pfn)
 	blk.Minors[block&(config.BlocksPerPage-1)]++
+	c.counters.Set(pfn, blk)
 	return nil
 }
 

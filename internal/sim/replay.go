@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"ivleague/internal/config"
+	"ivleague/internal/pagetable"
 	"ivleague/internal/trace"
 	"ivleague/internal/workload"
 )
@@ -32,6 +33,21 @@ func (r *replaySource) Next() workload.Event {
 // InitInstr implements EventSource: replay has no init sweep.
 func (r *replaySource) InitInstr() uint64 { return 0 }
 
+// checkRecord rejects a record the machine cannot replay as recorded: a
+// thread the mix does not have, a block past the page, or a VPN wider than
+// the page table's, which would alias a narrower one.
+func checkRecord(rec trace.Record, threads int) error {
+	switch {
+	case rec.Thread >= threads:
+		return fmt.Errorf("thread %d, but the mix has %d threads", rec.Thread, threads)
+	case int(rec.Block) >= config.BlocksPerPage:
+		return fmt.Errorf("block %d past the page's %d blocks", rec.Block, config.BlocksPerPage)
+	case rec.VPN>>pagetable.VPNBits != 0:
+		return fmt.Errorf("vpn %#x wider than %d bits", rec.VPN, pagetable.VPNBits)
+	}
+	return nil
+}
+
 // ReplayMix builds a machine for the mix (processes, domains, caches) but
 // drives its threads from a recorded trace instead of the synthetic
 // generators. The trace must have been recorded from a machine with the
@@ -53,6 +69,9 @@ func ReplayMix(cfg *config.Config, scheme config.Scheme, mix workload.Mix, r io.
 		}
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: replay: %w", err)
+		}
+		if err := checkRecord(rec, len(m.threads)); err != nil {
+			return Result{}, fmt.Errorf("sim: replay: record %d of mix %s: %w", total, mix.Name, err)
 		}
 		perThread[rec.Thread] = append(perThread[rec.Thread], workload.Event{
 			Mem:   true,

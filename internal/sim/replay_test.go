@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/trace"
 )
 
 func TestRecordAndReplay(t *testing.T) {
@@ -188,5 +190,56 @@ func TestReplayCrashBounds(t *testing.T) {
 	}
 	if rep.Failed {
 		t.Fatalf("crash op beyond the trace killed the replay: %s", rep.FailMsg)
+	}
+}
+
+// TestReplayRejectsMalformedRecords crafts traces whose second record the
+// machine cannot replay as recorded. Each must come back as an error
+// naming the field: a block past the page would read another frame, a
+// thread the mix lacks would be dropped, and a VPN wider than 36 bits
+// would alias a narrower one. The largest valid values replay cleanly.
+func TestReplayRejectsMalformedRecords(t *testing.T) {
+	cfg := quickCfg()
+	mix := smallMix(t)
+	m, err := NewMachine(&cfg, config.SchemeBaseline, mix, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads := len(m.threads)
+	craft := func(rec trace.Record) *bytes.Buffer {
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
+		for _, r := range []trace.Record{{Thread: 0, VPN: 5, Block: 3}, rec} {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	for _, tc := range []struct {
+		rec  trace.Record
+		want string
+	}{
+		{trace.Record{Thread: 0, VPN: 5, Block: 64}, "block 64"},
+		{trace.Record{Thread: 0, VPN: 5, Block: 255}, "block 255"},
+		{trace.Record{Thread: threads, VPN: 5}, fmt.Sprintf("thread %d", threads)},
+		{trace.Record{Thread: 255, VPN: 5}, "thread 255"},
+		{trace.Record{Thread: 0, VPN: 1<<36 + 5}, "vpn 0x1000000005"},
+	} {
+		_, err := ReplayMix(&cfg, config.SchemeBaseline, mix, craft(tc.rec))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("replay of %+v: err = %v; want an error for record 1 naming %q", tc.rec, err, tc.want)
+		}
+	}
+	rec := trace.Record{Thread: threads - 1, VPN: 1<<36 - 1, Block: 63, Write: true}
+	rep, err := ReplayMix(&cfg, config.SchemeBaseline, mix, craft(rec))
+	if err != nil {
+		t.Fatalf("replay of %+v: %v", rec, err)
+	}
+	if rep.Failed {
+		t.Fatalf("replay of %+v failed: %s", rec, rep.FailMsg)
 	}
 }

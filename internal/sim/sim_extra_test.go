@@ -122,7 +122,7 @@ func checkFrameOwners(m *Machine) error {
 		}
 		seen[th.proc] = true
 		for _, vpn := range th.proc.Table.VPNs() {
-			pfn := th.proc.Table.Lookup(vpn).PFN
+			pfn, _ := th.proc.Table.Lookup(vpn)
 			dom, v, ok := m.mem.Owner(pfn)
 			if !ok || dom != th.proc.DomainID || v != vpn {
 				return fmt.Errorf("frame %d mapped at vpn %#x by domain %d: Owner = (%d, %#x, %v)",
