@@ -2,8 +2,8 @@
 // the curated benchmark scenarios in-process (median-of-N with warmup
 // reps discarded) and emits one BENCH_<gitrev>.json trajectory point:
 //
-//	ivperf                  # quick scenario set -> bench/BENCH_<rev>.json
-//	ivperf -full -reps 9    # full set, tighter medians
+//	ivperf                  # all scenarios -> bench/BENCH_<rev>.json
+//	ivperf -reps 9          # tighter medians
 //
 // and compares two trajectory points with a noise-aware regression
 // gate, exiting non-zero when any scenario regressed:
@@ -34,12 +34,11 @@ func main() {
 	check := flag.Bool("check", false, "compare two BENCH files (args: OLD NEW, each a file or a directory meaning its newest point) instead of measuring; exit 1 on regression")
 	tol := flag.Float64("tol", 0.25, "with -check, tolerated relative slowdown before a scenario regresses (0.25 = 25%; use 0.5+ across machines)")
 	madFactor := flag.Float64("mad-factor", 3, "with -check, noise floor as a multiple of the runs' median absolute deviations (0 = ratio test only)")
-	full := flag.Bool("full", false, "run the full scenario set (default: the quick CI set)")
 	reps := flag.Int("reps", 5, "timed repetitions per scenario (the median is reported)")
 	warmup := flag.Int("warmup", 1, "discarded warmup repetitions per scenario")
 	outDir := flag.String("o", "bench", "directory for the BENCH_<rev>.json output")
 	rev := flag.String("rev", "", "git revision to stamp the output with (default: vcs.revision from build info)")
-	list := flag.Bool("list", false, "list the selected scenarios and exit")
+	list := flag.Bool("list", false, "list the scenarios and exit")
 	flag.Parse()
 
 	if *check {
@@ -54,7 +53,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	scenarios, err := obs.Scenarios(!*full)
+	scenarios, err := obs.Scenarios()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ivperf:", err)
 		os.Exit(2)

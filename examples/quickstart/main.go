@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"ivleague/internal/config"
 	"ivleague/internal/secmem"
@@ -101,23 +102,15 @@ func main() {
 	}
 	s1, _ := mem.SlotOf(pfn)
 	s2, _ := mem.SlotOf(pfn + 1)
-	lay := mem.Layout()
-	shared := false
-	mustAddr := func(addr uint64, err error) uint64 {
-		if err != nil {
-			log.Fatal(err)
-		}
-		return addr
+	path1, err := mem.PathAddrs(pfn)
+	if err != nil {
+		log.Fatal(err)
 	}
-	nodes1 := map[uint64]bool{}
-	for _, n := range mem.IvLeague().PathNodes(s1, nil) {
-		nodes1[mustAddr(lay.TreeLingNodeAddr(s1.TreeLing(), n))] = true
+	path2, err := mem.PathAddrs(pfn + 1)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, n := range mem.IvLeague().PathNodes(s2, nil) {
-		if nodes1[mustAddr(lay.TreeLingNodeAddr(s2.TreeLing(), n))] {
-			shared = true
-		}
-	}
+	shared := slices.ContainsFunc(path1, func(a uint64) bool { return slices.Contains(path2, a) })
 	fmt.Printf("adjacent frames, different domains: TreeLings %d vs %d, shared tree nodes: %v\n",
 		s1.TreeLing(), s2.TreeLing(), shared)
 }

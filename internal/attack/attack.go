@@ -12,7 +12,7 @@
 package attack
 
 import (
-	"fmt"
+	"slices"
 
 	"ivleague/internal/config"
 	"ivleague/internal/layout"
@@ -171,7 +171,7 @@ func Run(cfg *config.Config, scheme config.Scheme, acfg Config) (*Result, error)
 	}
 
 	res := &Result{Scheme: scheme}
-	res.SharedNodes = sharesPathNode(mem, vSqrPFN, aSqrPFN, acfg.SharedLevel)
+	res.SharedNodes = sharesPathNode(mem, vSqrPFN, aSqrPFN)
 
 	// The shared node block addresses the attacker targets (for Baseline;
 	// under IvLeague these are simply the nodes on the attacker's own
@@ -183,7 +183,7 @@ func Run(cfg *config.Config, scheme config.Scheme, acfg Config) (*Result, error)
 		// ❶ Evict the shared node (and the attacker's own lower path +
 		// counter, so the reload traverses up to the shared level).
 		mem.EvictMetadata(sharedAddr)
-		evictLowerPath(mem, attackerDomain, pfn)
+		evictLowerPath(mem, pfn)
 		// ❷ Reload: access own page; latency reveals whether the victim
 		// re-warmed the shared node.
 		res, err := mem.Do(secmem.AccessRequest{
@@ -204,16 +204,16 @@ func Run(cfg *config.Config, scheme config.Scheme, acfg Config) (*Result, error)
 		var cSum, wSum float64
 		for i := 0; i < rounds; i++ {
 			mem.EvictMetadata(mulShared)
-			evictLowerPath(mem, attackerDomain, aMulPFN)
+			evictLowerPath(mem, aMulPFN)
 			cSum += float64(probe(0x201, aMulPFN, mulShared))
 			// Warm the shared node via a preceding access, then reload.
-			evictLowerPath(mem, attackerDomain, aMulPFN)
+			evictLowerPath(mem, aMulPFN)
 			if res, err := mem.Do(secmem.AccessRequest{
 				Now: now, Domain: attackerDomain, VPN: 0x201, PFN: aMulPFN, Block: 1,
 			}); err == nil {
 				now += uint64(res.Latency)
 			}
-			evictLowerPath(mem, attackerDomain, aMulPFN)
+			evictLowerPath(mem, aMulPFN)
 			wSum += float64(probe2(mem, &now, attackerDomain, 0x201, aMulPFN))
 		}
 		return cSum / rounds, wSum / rounds
@@ -228,10 +228,10 @@ func Run(cfg *config.Config, scheme config.Scheme, acfg Config) (*Result, error)
 		// sides (the paper's eviction of Ns and its child nodes).
 		mem.EvictMetadata(sqrShared)
 		mem.EvictMetadata(mulShared)
-		evictLowerPath(mem, attackerDomain, aSqrPFN)
-		evictLowerPath(mem, attackerDomain, aMulPFN)
-		evictLowerPath(mem, victimDomain, vSqrPFN)
-		evictLowerPath(mem, victimDomain, vMulPFN)
+		evictLowerPath(mem, aSqrPFN)
+		evictLowerPath(mem, aMulPFN)
+		evictLowerPath(mem, vSqrPFN)
+		evictLowerPath(mem, vMulPFN)
 
 		// Victim processes one key bit.
 		v.processBit(bit)
@@ -270,7 +270,7 @@ func Run(cfg *config.Config, scheme config.Scheme, acfg Config) (*Result, error)
 // probe2 reloads the attacker's page with its lower path evicted, so the
 // verification walk reaches the (potentially shared) upper node.
 func probe2(mem *secmem.Controller, now *uint64, domain int, vpn layout.VPN, pfn layout.PFN) int {
-	evictLowerPath(mem, domain, pfn)
+	evictLowerPath(mem, pfn)
 	res, err := mem.Do(secmem.AccessRequest{Now: *now, Domain: domain, VPN: vpn, PFN: pfn})
 	if err != nil {
 		panic(err)
@@ -288,69 +288,36 @@ func mustAddr(addr uint64, err error) uint64 {
 	return addr
 }
 
-// sharedNodeAddr returns the memory address of the tree node at the given
-// level on pfn's verification path under the machine's scheme.
-func sharedNodeAddr(mem *secmem.Controller, pfn layout.PFN, level int) uint64 {
-	lay := mem.Layout()
-	if ivc := mem.IvLeague(); ivc != nil {
-		slot, ok := mem.SlotOf(pfn)
-		if !ok {
-			panic(fmt.Sprintf("attack: pfn %d unmapped", uint64(pfn)))
-		}
-		path := ivc.PathNodes(slot, nil)
-		idx := level - 1
-		if idx >= len(path) {
-			idx = len(path) - 1
-		}
-		return mustAddr(lay.TreeLingNodeAddr(slot.TreeLing(), path[idx]))
+// mustPath returns pfn's verification path, bottom-up. The attack harness
+// only asks about pages it mapped itself, so an error is a harness bug.
+func mustPath(mem *secmem.Controller, pfn layout.PFN) []uint64 {
+	path, err := mem.PathAddrs(pfn)
+	if err != nil {
+		panic(err)
 	}
-	return mustAddr(lay.GlobalNodeAddr(level, lay.GlobalNodeIndex(pfn, level)))
+	return path
+}
+
+// sharedNodeAddr returns the address of the tree node at the given level
+// on pfn's verification path, or of the path's top node if it is shorter.
+func sharedNodeAddr(mem *secmem.Controller, pfn layout.PFN, level int) uint64 {
+	path := mustPath(mem, pfn)
+	return path[min(level, len(path))-1]
 }
 
 // evictLowerPath evicts pfn's counter block and the tree nodes below the
 // shared level from the metadata caches, forcing the next access to
 // traverse the tree upward.
-func evictLowerPath(mem *secmem.Controller, domain int, pfn layout.PFN) {
-	lay := mem.Layout()
-	mem.CounterCache().Invalidate(mustAddr(lay.CounterBlockAddr(pfn)))
-	if ivc := mem.IvLeague(); ivc != nil {
-		if slot, ok := mem.SlotOf(pfn); ok {
-			path := ivc.PathNodes(slot, nil)
-			if len(path) > 1 {
-				mem.EvictMetadata(mustAddr(lay.TreeLingNodeAddr(slot.TreeLing(), path[0])))
-			}
-		}
-		return
+func evictLowerPath(mem *secmem.Controller, pfn layout.PFN) {
+	mem.CounterCache().Invalidate(mustAddr(mem.Layout().CounterBlockAddr(pfn)))
+	if path := mustPath(mem, pfn); len(path) > 1 {
+		mem.EvictMetadata(path[0])
 	}
-	mem.EvictMetadata(mustAddr(lay.GlobalNodeAddr(1, lay.GlobalNodeIndex(pfn, 1))))
 }
 
 // sharesPathNode reports whether the two pages' verification paths contain
-// a common node block address at or above the given level — the structural
-// leakage condition.
-func sharesPathNode(mem *secmem.Controller, pfnA, pfnB layout.PFN, level int) bool {
-	lay := mem.Layout()
-	if ivc := mem.IvLeague(); ivc != nil {
-		sa, okA := mem.SlotOf(pfnA)
-		sb, okB := mem.SlotOf(pfnB)
-		if !okA || !okB {
-			return false
-		}
-		seen := map[uint64]bool{}
-		for _, n := range ivc.PathNodes(sa, nil) {
-			seen[mustAddr(lay.TreeLingNodeAddr(sa.TreeLing(), n))] = true
-		}
-		for _, n := range ivc.PathNodes(sb, nil) {
-			if seen[mustAddr(lay.TreeLingNodeAddr(sb.TreeLing(), n))] {
-				return true
-			}
-		}
-		return false
-	}
-	for l := level; l <= lay.GlobalLevels; l++ {
-		if lay.GlobalNodeIndex(pfnA, l) == lay.GlobalNodeIndex(pfnB, l) {
-			return true
-		}
-	}
-	return false
+// a common node block address — the structural leakage condition.
+func sharesPathNode(mem *secmem.Controller, pfnA, pfnB layout.PFN) bool {
+	pathB := mustPath(mem, pfnB)
+	return slices.ContainsFunc(mustPath(mem, pfnA), func(a uint64) bool { return slices.Contains(pathB, a) })
 }

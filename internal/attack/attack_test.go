@@ -65,6 +65,9 @@ func TestStaticPartitionAlsoIsolates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.SharedNodes {
+		t.Fatal("attacker and victim partitions share a node on the verification path")
+	}
 	if res.Accuracy > 0.65 {
 		t.Fatalf("static partitioning leaked: accuracy %.3f", res.Accuracy)
 	}

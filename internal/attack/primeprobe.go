@@ -50,25 +50,20 @@ func PrimeProbe(cfg *config.Config, randomized bool, keyBits int, seed uint64) (
 			return nil, err
 		}
 	}
-	// The victim's mul leaf node address and its cache geometry.
+	// The set of the victim's mul leaf node in the tree cache.
 	tc := mem.TreeCache().Config()
 	sets := uint64(tc.Sets())
-	target := mustAddr(lay.GlobalNodeAddr(1, lay.GlobalNodeIndex(vMul, 1)))
-	targetSet := (target >> 6) % sets
+	targetSet := (mustPath(mem, vMul)[0] >> 6) % sets
 
 	// Build the eviction set: attacker pages whose level-1 nodes map (in
 	// a direct-indexed cache) to the victim's set. The attacker computes
-	// this from public address geometry; with randomized indexing the
-	// same pages scatter over unknown sets.
+	// this from public address geometry (a global-tree path is fixed by
+	// the frame); with randomized indexing the same pages scatter over
+	// unknown sets. One candidate per leaf node: its first page.
 	var probePages []layout.PFN
 	vpn := layout.VPN(0x200)
-	for idx := uint64(0); len(probePages) < tc.Ways; idx++ {
-		addr := mustAddr(lay.GlobalNodeAddr(1, idx))
-		if (addr>>6)%sets != targetSet {
-			continue
-		}
-		pfn := layout.PFN(idx * uint64(lay.Arity)) // first page under that leaf node
-		if pfn == vMul || pfn == vSqr || uint64(pfn) >= lay.Pages {
+	for pfn := layout.PFN(0); len(probePages) < tc.Ways; pfn += layout.PFN(lay.Arity) {
+		if (mustPath(mem, pfn)[0]>>6)%sets != targetSet || pfn == vMul || pfn == vSqr {
 			continue
 		}
 		if _, err := mem.OnPageMap(now, attackerDomain, vpn, pfn); err != nil {

@@ -496,24 +496,6 @@ func TestNFLBHitRateHighForSequentialAlloc(t *testing.T) {
 	}
 }
 
-func TestPathNodesEndsAtRoot(t *testing.T) {
-	c, lay := newCtrl(t, ModeBasic, false)
-	s := MakeSlot(3, lay.NodeIndex(1, 100), 2)
-	path := c.PathNodes(s, nil)
-	if len(path) != lay.TreeLingHeight {
-		t.Fatalf("path length %d, want %d", len(path), lay.TreeLingHeight)
-	}
-	if path[len(path)-1] != 0 {
-		t.Fatal("path does not end at the TreeLing root")
-	}
-	for i := 0; i+1 < len(path); i++ {
-		p, _, ok := lay.Parent(path[i])
-		if !ok || p != path[i+1] {
-			t.Fatal("path nodes not parent-linked")
-		}
-	}
-}
-
 func TestFunctionalForestTracksConversions(t *testing.T) {
 	cfg := testConfig()
 	lay := layout.New(&cfg)

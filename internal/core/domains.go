@@ -736,21 +736,3 @@ func (c *Controller) TamperNFLAvail(domainID int, set bool, pick uint64) (tl, no
 	}
 	return ch.tl, ch.node, ch.slotBit, true
 }
-
-// PathNodes appends the top-down node indices on the verification path of
-// slot — the slot's node, then its ancestors up to and including the
-// TreeLing root — to buf and returns it. The caller converts to addresses
-// via the layout (all TreeLing nodes are statically addressed; no
-// indirection is needed, per Section VI-B).
-func (c *Controller) PathNodes(slot SlotID, buf []int) []int {
-	node := slot.Node()
-	buf = append(buf, node)
-	for {
-		p, _, ok := c.lay.Parent(node)
-		if !ok {
-			return buf
-		}
-		buf = append(buf, p)
-		node = p
-	}
-}

@@ -132,6 +132,18 @@ func New(cfg *config.Config) *Layout {
 	return l
 }
 
+// DataBlockAddr returns the physical address of data block `block` of frame
+// pfn. The data region starts at address 0, one page per frame.
+func DataBlockAddr(pfn PFN, block int) uint64 {
+	return uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
+}
+
+// DataBlockOfAddr is the inverse of DataBlockAddr: it recovers the frame
+// and block holding the data address addr.
+func DataBlockOfAddr(addr uint64) (PFN, int) {
+	return PFN(addr >> config.PageShift), int(addr>>config.BlockShift) & (config.BlocksPerPage - 1)
+}
+
 // CounterBlockAddr returns the physical address of page pfn's counter block.
 func (l *Layout) CounterBlockAddr(pfn PFN) (uint64, error) {
 	if uint64(pfn) >= l.Pages {

@@ -308,25 +308,19 @@ func fig22Scenario() (Scenario, error) {
 	}, nil
 }
 
-// Scenarios returns the curated benchmark set. The quick set is sized
-// for CI (a representative scheme spread on small mixes plus the
-// analytical path); the full set adds an Invert run and a Large mix for
-// local trajectory points.
-func Scenarios(quick bool) ([]Scenario, error) {
-	type spec struct {
+// Scenarios returns the curated benchmark set: a representative scheme
+// spread over small, medium and large mixes, then the layer
+// microscenarios and the analytical path.
+func Scenarios() ([]Scenario, error) {
+	specs := []struct {
 		scheme config.Scheme
 		mix    string
-	}
-	specs := []spec{
+	}{
 		{config.SchemeBaseline, "S-1"},
 		{config.SchemeIvLeaguePro, "S-1"},
 		{config.SchemeIvLeagueBasic, "M-2"},
-	}
-	if !quick {
-		specs = append(specs,
-			spec{config.SchemeIvLeagueInvert, "S-4"},
-			spec{config.SchemeIvLeaguePro, "L-2"},
-		)
+		{config.SchemeIvLeagueInvert, "S-4"},
+		{config.SchemeIvLeaguePro, "L-2"},
 	}
 	out := make([]Scenario, 0, len(specs)+4)
 	for _, sp := range specs {

@@ -181,12 +181,11 @@ func (c *Controller) OnPageUnmap(now uint64, domain int, vpn layout.VPN, pfn lay
 // error if the memory was tampered with.
 //
 // Do performs no heap allocation in the steady state (pages mapped, OpList
-// and path buffers warmed), which keeps the simulator's hot loop free of
-// GC pressure.
+// warmed), which keeps the simulator's hot loop free of GC pressure.
 //
 //ivlint:hotpath
 func (c *Controller) Do(req AccessRequest) (AccessResult, error) {
-	dataAddr := uint64(req.PFN)<<config.PageShift | uint64(req.Block)<<config.BlockShift
+	dataAddr := layout.DataBlockAddr(req.PFN, req.Block)
 	lat := 0
 
 	// Locate the page's verification slot (IvLeague: LMM lookup, lazy
@@ -306,7 +305,7 @@ func (c *Controller) secureWrite(now uint64, domain int, vpn layout.VPN, pfn lay
 		// at one DRAM transaction per 8 blocks as a pipelined stream).
 		c.Overflows.Inc()
 		for i := 0; i < config.BlocksPerPage; i += 8 {
-			a := uint64(pfn)<<config.PageShift | uint64(i)<<config.BlockShift
+			a := layout.DataBlockAddr(pfn, i)
 			lat += c.dram.Access(now, a, false)
 			c.dram.Access(now, a, true)
 		}
@@ -376,19 +375,22 @@ func (c *Controller) counterFetch(now uint64, domain int, vpn layout.VPN, pfn la
 	return lat + walkLat, true, nil
 }
 
-// verifyWalk walks the integrity path from the page's first tree node
+// verifyWalk walks the page's verification path from its first tree node
 // toward the root, reading and hashing every node until one is found in
-// the (trusted, on-chip) tree cache. The number of node blocks read from
-// memory is the Figure 16 path-length metric.
+// the (trusted, on-chip) tree cache. The levels above the path's top are
+// on-chip, so the walk always terminates. The number of node blocks read
+// from memory is the Figure 16 path-length metric.
 func (c *Controller) verifyWalk(now uint64, domain int, pfn layout.PFN, slot core.SlotID) (int, error) {
 	c.Verifications.Inc()
 	lat := 0
 	pathLen := 0
-	// step composes with the layout's (addr, error) results; a malformed
-	// path address aborts the walk instead of charging bogus traffic.
-	step := func(addr uint64, aerr error) (bool, error) {
-		if aerr != nil {
-			return false, aerr
+	for p := c.path(pfn, slot); p.level <= p.top; p.next() {
+		// A cache hit still uses the node, so the touch is recorded
+		// before the walk can terminate on it.
+		c.auditTouch(domain, p.tl, p.level, int(p.node))
+		addr, err := p.addr()
+		if err != nil {
+			return 0, err // a malformed address aborts the walk, charging nothing
 		}
 		res := c.treeCache.Access(addr, false)
 		lat += res.Latency
@@ -396,47 +398,11 @@ func (c *Controller) verifyWalk(now uint64, domain int, pfn layout.PFN, slot cor
 			c.dram.Access(now, res.WritebackAddr, true)
 		}
 		if res.Hit {
-			return true, nil // trusted on-chip copy ends the walk
+			break // trusted on-chip copy ends the walk
 		}
 		lat += c.dram.Access(now, addr, false)
 		lat += c.engine.HashLatency()
 		pathLen++
-		return false, nil
-	}
-	switch {
-	case c.ivc != nil:
-		c.pathBuf = c.ivc.PathNodes(slot, c.pathBuf[:0])
-		tl := slot.TreeLing()
-		for _, node := range c.pathBuf {
-			// A cache hit still uses the node, so the touch is recorded
-			// before the walk can terminate on it.
-			c.auditTouch(domain, tl, c.lay.LevelOf(node), node)
-			done, err := step(c.lay.TreeLingNodeAddr(tl, node))
-			if err != nil {
-				return 0, err
-			}
-			if done {
-				break
-			}
-		}
-		// The TreeLing root's parent (and all levels above) are pinned
-		// on-chip by way partitioning, so the walk always terminates.
-	default:
-		top := c.lay.GlobalLevels
-		if c.scheme == config.SchemeStaticPartition {
-			top = c.partLevel // the partition's subtree root is on-chip
-		}
-		for level := 1; level <= top; level++ {
-			idx := c.lay.GlobalNodeIndex(pfn, level)
-			c.auditTouch(domain, telemetry.GlobalTreeLing, level, int(idx))
-			done, err := step(c.lay.GlobalNodeAddr(level, idx))
-			if err != nil {
-				return 0, err
-			}
-			if done {
-				break
-			}
-		}
 	}
 	c.pathHist(domain).Observe(pathLen)
 	if c.tracer != nil {
@@ -456,16 +422,9 @@ func (c *Controller) verifyWalk(now uint64, domain int, pfn layout.PFN, slot cor
 // dirty in the tree cache (fetching it on a miss), modelling the write
 // path's tree update up to the cached level.
 func (c *Controller) updateLeafNode(now uint64, domain int, pfn layout.PFN, slot core.SlotID) (int, error) {
-	var addr uint64
-	var err error
-	if c.ivc != nil {
-		addr, err = c.lay.TreeLingNodeAddr(slot.TreeLing(), slot.Node())
-		c.auditTouch(domain, slot.TreeLing(), c.lay.LevelOf(slot.Node()), slot.Node())
-	} else {
-		idx := c.lay.GlobalNodeIndex(pfn, 1)
-		addr, err = c.lay.GlobalNodeAddr(1, idx)
-		c.auditTouch(domain, telemetry.GlobalTreeLing, 1, int(idx))
-	}
+	p := c.path(pfn, slot)
+	c.auditTouch(domain, p.tl, p.level, int(p.node))
+	addr, err := p.addr()
 	if err != nil {
 		return 0, err
 	}

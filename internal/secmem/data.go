@@ -151,7 +151,7 @@ func (c *Controller) WriteBlock(req AccessRequest, plain []byte) (AccessResult, 
 	if err != nil {
 		return AccessResult{}, err
 	}
-	addr := uint64(req.PFN)<<config.PageShift | uint64(req.Block)<<config.BlockShift
+	addr := layout.DataBlockAddr(req.PFN, req.Block)
 	cnt := c.counters.Counter(req.PFN, req.Block)
 	p := c.dataMem().ensure(req.PFN)
 	st := &p.blocks[req.Block]
@@ -179,7 +179,7 @@ func (c *Controller) ReadBlock(req AccessRequest, dst []byte) (AccessResult, err
 	if err != nil {
 		return AccessResult{}, err // integrity-tree violation
 	}
-	addr := uint64(req.PFN)<<config.PageShift | uint64(req.Block)<<config.BlockShift
+	addr := layout.DataBlockAddr(req.PFN, req.Block)
 	p := c.dataMem().page(req.PFN)
 	if p == nil || !p.isPresent(req.Block) {
 		// Never-written memory decrypts to zeros by convention.
@@ -221,7 +221,7 @@ type BlockSnapshot struct {
 func (c *Controller) SnapshotBlock(pfn layout.PFN, block int) (*BlockSnapshot, error) {
 	p := c.dataMem().page(pfn)
 	if p == nil || !p.isPresent(block) {
-		addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
+		addr := layout.DataBlockAddr(pfn, block)
 		return nil, fmt.Errorf("%w: no data at %#x to snapshot", ErrNoTamperTarget, addr)
 	}
 	return &BlockSnapshot{pfn: pfn, block: block, st: p.blocks[block], counter: c.counters.Snapshot(pfn)}, nil

@@ -204,7 +204,7 @@ func (c *Controller) StateDigest() []byte {
 	}
 	if c.datamem != nil {
 		c.datamem.forEach(func(pfn layout.PFN, block int, st *blockState) {
-			addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
+			addr := layout.DataBlockAddr(pfn, block)
 			fmt.Fprintf(&b, "data %#x mac=%x ct=%x\n", addr, st.mac, st.ct)
 		})
 	}

@@ -131,8 +131,7 @@ type Controller struct {
 	partCount int
 	partLevel int // tree level at which a partition's subtree roots sit
 
-	ops     core.OpList
-	pathBuf []int
+	ops core.OpList
 
 	// Observability (nil by default; attached via SetTracer/SetAudit/
 	// SetPhaseTimers).

@@ -181,22 +181,20 @@ func TestPathLengthShorterForIvLeagueSmallFootprint(t *testing.T) {
 
 func TestMetadataIsolationIvLeague(t *testing.T) {
 	// The security core: two domains must never touch a common tree node
-	// block in memory. Track all TreeLing-node addresses each domain's
-	// verifications read and assert disjointness.
+	// block in memory. Collect the verification-path addresses of each
+	// domain's pages and assert disjointness.
 	c := newCtl(t, config.SchemeIvLeagueBasic, false)
 	c.CreateDomain(1)
 	c.CreateDomain(2)
-	lay := c.Layout()
 	touched := map[int]map[uint64]bool{1: {}, 2: {}}
 	for p := uint64(0); p < 200; p++ {
 		dom := 1 + int(p%2)
 		mapPage(t, c, dom, p, p)
-		slot, _ := c.SlotOf(layout.PFN(p))
-		for _, n := range c.IvLeague().PathNodes(slot, nil) {
-			a, err := lay.TreeLingNodeAddr(slot.TreeLing(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
+		path, err := c.PathAddrs(layout.PFN(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range path {
 			touched[dom][a] = true
 		}
 	}
@@ -208,15 +206,23 @@ func TestMetadataIsolationIvLeague(t *testing.T) {
 }
 
 func TestBaselineSharesMetadataAcrossDomains(t *testing.T) {
-	// The vulnerability: under the global tree, two domains' pages can
-	// share upper-level nodes.
+	// The vulnerability: under the global tree, adjacent frames mapped
+	// into two domains share their leaf node.
 	c := newCtl(t, config.SchemeBaseline, false)
-	lay := c.Layout()
-	// Two adjacent pages in different domains share their leaf node when
-	// pfn/arity matches.
-	p1, p2 := layout.PFN(16), layout.PFN(17)
-	if lay.GlobalNodeIndex(p1, 1) != lay.GlobalNodeIndex(p2, 1) {
-		t.Fatal("test pages should share a leaf")
+	c.CreateDomain(1)
+	c.CreateDomain(2)
+	mapPage(t, c, 1, 0, 16)
+	mapPage(t, c, 2, 0, 17)
+	a, err := c.PathAddrs(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.PathAddrs(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[0] != b[0] {
+		t.Fatalf("adjacent frames in two domains verify through leaf nodes %#x and %#x, want one shared node", a[0], b[0])
 	}
 }
 

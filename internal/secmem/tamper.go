@@ -36,7 +36,7 @@ func (c *Controller) FlipDataBit(pfn layout.PFN, block, bit int) error {
 	}
 	st := c.tamperBlock(pfn, block)
 	if st == nil {
-		addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
+		addr := layout.DataBlockAddr(pfn, block)
 		return fmt.Errorf("%w: no data at %#x", ErrNoTamperTarget, addr)
 	}
 	st.ct[bit/8] ^= 1 << uint(bit%8)
@@ -48,7 +48,7 @@ func (c *Controller) FlipDataBit(pfn layout.PFN, block, bit int) error {
 func (c *Controller) CorruptMAC(pfn layout.PFN, block, bit int) error {
 	st := c.tamperBlock(pfn, block)
 	if st == nil {
-		addr := uint64(pfn)<<config.PageShift | uint64(block)<<config.BlockShift
+		addr := layout.DataBlockAddr(pfn, block)
 		return fmt.Errorf("%w: no data at %#x", ErrNoTamperTarget, addr)
 	}
 	st.mac ^= 1 << uint(bit&63)
@@ -62,12 +62,12 @@ func (c *Controller) CorruptMAC(pfn layout.PFN, block, bit int) error {
 func (c *Controller) SpliceData(srcPfn layout.PFN, srcBlock int, dstPfn layout.PFN, dstBlock int) error {
 	src := c.tamperBlock(srcPfn, srcBlock)
 	if src == nil {
-		srcAddr := uint64(srcPfn)<<config.PageShift | uint64(srcBlock)<<config.BlockShift
+		srcAddr := layout.DataBlockAddr(srcPfn, srcBlock)
 		return fmt.Errorf("%w: no data at %#x", ErrNoTamperTarget, srcAddr)
 	}
 	dst := c.tamperBlock(dstPfn, dstBlock)
 	if dst == nil {
-		dstAddr := uint64(dstPfn)<<config.PageShift | uint64(dstBlock)<<config.BlockShift
+		dstAddr := layout.DataBlockAddr(dstPfn, dstBlock)
 		return fmt.Errorf("%w: no data at %#x", ErrNoTamperTarget, dstAddr)
 	}
 	*dst = *src

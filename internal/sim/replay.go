@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"ivleague/internal/config"
-	"ivleague/internal/pagetable"
 	"ivleague/internal/trace"
 	"ivleague/internal/workload"
 )
@@ -34,18 +33,12 @@ func (r *replaySource) Next() workload.Event {
 func (r *replaySource) InitInstr() uint64 { return 0 }
 
 // checkRecord rejects a record the machine cannot replay as recorded: a
-// thread the mix does not have, a block past the page, or a VPN wider than
-// the page table's, which would alias a narrower one.
+// thread the mix does not have, or a record that fails Validate.
 func checkRecord(rec trace.Record, threads int) error {
-	switch {
-	case rec.Thread >= threads:
+	if rec.Thread >= threads {
 		return fmt.Errorf("thread %d, but the mix has %d threads", rec.Thread, threads)
-	case int(rec.Block) >= config.BlocksPerPage:
-		return fmt.Errorf("block %d past the page's %d blocks", rec.Block, config.BlocksPerPage)
-	case rec.VPN>>pagetable.VPNBits != 0:
-		return fmt.Errorf("vpn %#x wider than %d bits", rec.VPN, pagetable.VPNBits)
 	}
-	return nil
+	return rec.Validate()
 }
 
 // ReplayMix builds a machine for the mix (processes, domains, caches) but

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -206,18 +207,22 @@ func TestReplayRejectsMalformedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	threads := len(m.threads)
+	// craft writes the trace as raw bytes, since the writer refuses the
+	// bad records: the magic, then per record its thread, flags and block
+	// bytes and the varint VPN delta from the thread's previous record.
 	craft := func(rec trace.Record) *bytes.Buffer {
-		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
+		buf := bytes.NewBufferString("ivtrace1")
+		last := map[int]uint64{}
 		for _, r := range []trace.Record{{Thread: 0, VPN: 5, Block: 3}, rec} {
-			if err := w.Append(r); err != nil {
-				t.Fatal(err)
+			flags := byte(0)
+			if r.Write {
+				flags = 1
 			}
+			buf.Write([]byte{byte(r.Thread), flags, r.Block})
+			buf.Write(binary.AppendVarint(nil, int64(r.VPN-last[r.Thread])))
+			last[r.Thread] = r.VPN
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+		return buf
 	}
 	for _, tc := range []struct {
 		rec  trace.Record

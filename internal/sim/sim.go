@@ -422,7 +422,7 @@ func (m *Machine) step(t *thread) error {
 		m.pendingLat = 0
 		pfn = p
 	}
-	addr := uint64(pfn)<<config.PageShift | uint64(ev.Block)<<config.BlockShift
+	addr := layout.DataBlockAddr(pfn, ev.Block)
 	dom := t.proc.DomainID
 	opStart := t.cycles
 
@@ -508,12 +508,11 @@ func (m *Machine) writeback(t *thread, lower *cache.Cache, addr uint64) {
 // memWriteback sends an LLC dirty victim through the secure write path,
 // attributed to the frame's owner in the controller's page metadata.
 func (m *Machine) memWriteback(t *thread, addr uint64) {
-	pfn := layout.PFN(addr >> config.PageShift)
+	pfn, block := layout.DataBlockOfAddr(addr)
 	dom, vpn, ok := m.mem.Owner(pfn)
 	if !ok {
 		return // the page was freed; drop the stale line
 	}
-	block := int(addr>>config.BlockShift) & (config.BlocksPerPage - 1)
 	smT := m.phases.Start()
 	res, err := m.mem.Do(secmem.AccessRequest{
 		Now: uint64(t.cycles), Domain: dom, VPN: vpn, PFN: pfn,

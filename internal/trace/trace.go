@@ -14,6 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"ivleague/internal/config"
+	"ivleague/internal/pagetable"
 )
 
 // Record is one memory access of one hardware context.
@@ -22,6 +25,22 @@ type Record struct {
 	VPN    uint64
 	Block  uint8
 	Write  bool
+}
+
+// Validate rejects a record the format cannot hold or no machine can
+// replay as recorded: a thread past the format's one byte, a block past
+// the page, or a VPN wider than the page table's, which would alias a
+// narrower one.
+func (r Record) Validate() error {
+	switch {
+	case r.Thread < 0 || r.Thread > 255:
+		return fmt.Errorf("trace: thread %d out of range", r.Thread)
+	case int(r.Block) >= config.BlocksPerPage:
+		return fmt.Errorf("trace: block %d past the page's %d blocks", r.Block, config.BlocksPerPage)
+	case r.VPN>>pagetable.VPNBits != 0:
+		return fmt.Errorf("trace: vpn %#x wider than %d bits", r.VPN, pagetable.VPNBits)
+	}
+	return nil
 }
 
 // magic identifies the trace format (version 1).
@@ -40,17 +59,18 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w), lastVPN: make(map[int]uint64)}
 }
 
-// Append writes one record. Records are delta-encoded per thread: the
-// common case (streaming or page-local access) costs 3–5 bytes.
+// Append writes one record, rejecting one that fails Validate. Records
+// are delta-encoded per thread: the common case (streaming or page-local
+// access) costs 3–5 bytes.
 func (t *Writer) Append(r Record) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
 	if !t.started {
 		if _, err := t.w.Write(magic[:]); err != nil {
 			return err
 		}
 		t.started = true
-	}
-	if r.Thread < 0 || r.Thread > 255 {
-		return fmt.Errorf("trace: thread %d out of range", r.Thread)
 	}
 	var buf [20]byte
 	buf[0] = byte(r.Thread)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,44 @@ func TestThreadRangeRejected(t *testing.T) {
 	w := NewWriter(io.Discard)
 	if err := w.Append(Record{Thread: 256}); err == nil {
 		t.Fatal("thread 256 accepted")
+	}
+}
+
+// TestAppendRejectsUnreplayableRecords: the writer refuses what replay
+// would refuse (a block past the page, a VPN of 36 bits or more), writes
+// nothing for it, and keeps the largest valid values.
+func TestAppendRejectsUnreplayableRecords(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, tc := range []struct {
+		rec  Record
+		want string
+	}{
+		{Record{Block: 64}, "block 64"},
+		{Record{Block: 255}, "block 255"},
+		{Record{VPN: 1<<36 + 5}, "vpn 0x1000000005"},
+		{Record{VPN: 1 << 63}, "vpn 0x8000000000000000"},
+	} {
+		if err := w.Append(tc.rec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Append(%+v) = %v, want an error naming %q", tc.rec, err, tc.want)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != 0 || buf.Len() != len(magic) {
+		t.Fatalf("rejected records were written: count %d, %d bytes", w.Count(), buf.Len())
+	}
+	edge := Record{Thread: 255, VPN: 1<<36 - 1, Block: 63, Write: true}
+	if err := w.Append(edge); err != nil {
+		t.Fatalf("Append(%+v): %v", edge, err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(&buf)
+	if err != nil || len(got) != 1 || got[0] != edge {
+		t.Fatalf("read back %+v, %v; want [%+v]", got, err, edge)
 	}
 }
 
