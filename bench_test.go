@@ -220,7 +220,7 @@ func BenchmarkFig21RequiredTreeLings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, mb := range []int{2, 8, 32, 128, 512, 2048} {
 			for _, skew := range []float64{1.0, 0.5, 0.1} {
-				if analysis.RequiredTreeLings(32<<30, 1<<12, uint64(mb)<<20, skew) == 0 {
+				if analysis.RequiredTreeLings(32<<30, analysis.MaxDomains, uint64(mb)<<20, skew) == 0 {
 					b.Fatal("zero requirement")
 				}
 			}
@@ -232,8 +232,8 @@ func BenchmarkFig21RequiredTreeLings(b *testing.B) {
 func BenchmarkFig22Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, iv := analysis.SuccessRates(analysis.ScalabilityConfig{
-			TreeLings: 4096, TreeLingBytes: 16 << 20,
-			Utilization: 0.8, Domains: 128, MemoryBytes: 32 << 30,
+			TreeLingBytes: 16 << 20,
+			Utilization:   0.8, Domains: 128, MemoryBytes: 32 << 30,
 			Trials: 200, Seed: 42,
 		})
 		b.ReportMetric(s*100, "static-%")

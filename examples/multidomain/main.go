@@ -70,7 +70,6 @@ func main() {
 
 	// And the analytical Figure 22 view of the same story.
 	s, iv := analysis.SuccessRates(analysis.ScalabilityConfig{
-		TreeLings:     cfg.IvLeague.TreeLingCount,
 		TreeLingBytes: cfg.TreeLingBytes(),
 		Utilization:   0.6,
 		Domains:       domains,

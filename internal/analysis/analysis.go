@@ -12,6 +12,10 @@ import (
 	"ivleague/internal/rng"
 )
 
+// MaxDomains is D, the number of IV domains a machine is provisioned for
+// (Section VI-D2): 2^12, as in Figures 21 and 22.
+const MaxDomains = 1 << 12
+
 // RequiredTreeLings returns the number of TreeLings needed to host D
 // domains whose memory footprints follow the skewness model of Section
 // X-B: one domain holds skew×total bytes and the remaining D−1 domains
@@ -55,7 +59,6 @@ func ProvisionedTreeLings(totalBytes uint64, maxDomains int, treelingBytes uint6
 
 // ScalabilityConfig parameterises the Figure 22 Monte-Carlo experiment.
 type ScalabilityConfig struct {
-	TreeLings     int     // provisioned TreeLings (4096 in the paper)
 	TreeLingBytes uint64  // coverage per TreeLing
 	Utilization   float64 // Σ Mi as a fraction of total memory
 	Domains       int
@@ -68,11 +71,14 @@ type ScalabilityConfig struct {
 // footprints summing to Utilization×Memory (exponentially skewed splits),
 // checked against (a) static partitioning — every footprint must fit its
 // M/D partition — and (b) IvLeague — the total TreeLing demand must not
-// exceed the provisioned count.
+// exceed the count Section VI-D2 provisions for the memory,
+// ProvisionedTreeLings(MemoryBytes, MaxDomains, TreeLingBytes), which
+// always covers it.
 func SuccessRates(c ScalabilityConfig) (static, ivleague float64) {
 	if c.Trials <= 0 {
 		c.Trials = 500
 	}
+	provisioned := ProvisionedTreeLings(c.MemoryBytes, MaxDomains, c.TreeLingBytes)
 	r := rng.New(c.Seed ^ uint64(c.Domains)<<32 ^ uint64(c.MemoryBytes>>20))
 	partBytes := c.MemoryBytes / uint64(c.Domains)
 	totalAlloc := float64(c.MemoryBytes) * c.Utilization
@@ -101,8 +107,7 @@ func SuccessRates(c ScalabilityConfig) (static, ivleague float64) {
 		if staticOK {
 			okStatic++
 		}
-		if treelings <= uint64(c.TreeLings) &&
-			uint64(c.TreeLings)*c.TreeLingBytes >= uint64(totalAlloc) {
+		if treelings <= provisioned {
 			okIv++
 		}
 	}

@@ -54,16 +54,16 @@ func TestProvisioningFormula(t *testing.T) {
 func TestSuccessRatesExtremes(t *testing.T) {
 	// Low utilization, few domains: both schemes succeed.
 	s, iv := SuccessRates(ScalabilityConfig{
-		TreeLings: 4096, TreeLingBytes: 16 << 20,
-		Utilization: 0.1, Domains: 8, MemoryBytes: 8 << 30, Trials: 200, Seed: 1,
+		TreeLingBytes: 16 << 20,
+		Utilization:   0.1, Domains: 8, MemoryBytes: 8 << 30, Trials: 200, Seed: 1,
 	})
 	if iv < 0.98 {
 		t.Fatalf("IvLeague success %v at low load", iv)
 	}
 	// High utilization, many domains: static collapses, IvLeague holds.
 	s2, iv2 := SuccessRates(ScalabilityConfig{
-		TreeLings: 4096, TreeLingBytes: 16 << 20,
-		Utilization: 0.8, Domains: 128, MemoryBytes: 32 << 30, Trials: 200, Seed: 1,
+		TreeLingBytes: 16 << 20,
+		Utilization:   0.8, Domains: 128, MemoryBytes: 32 << 30, Trials: 200, Seed: 1,
 	})
 	if s2 >= s && s2 > 0.05 {
 		t.Fatalf("static success did not collapse: low-load %v, high-load %v", s, s2)
@@ -78,8 +78,8 @@ func TestSuccessRateBounds(t *testing.T) {
 		d := int(domains)%120 + 8
 		u := float64(util%80)/100 + 0.1
 		s, iv := SuccessRates(ScalabilityConfig{
-			TreeLings: 4096, TreeLingBytes: 16 << 20,
-			Utilization: u, Domains: d, MemoryBytes: 16 << 30, Trials: 50, Seed: 7,
+			TreeLingBytes: 16 << 20,
+			Utilization:   u, Domains: d, MemoryBytes: 16 << 30, Trials: 50, Seed: 7,
 		})
 		return s >= 0 && s <= 1 && iv >= 0 && iv <= 1
 	}
@@ -97,8 +97,8 @@ func TestFig22Surface(t *testing.T) {
 		for _, d := range []int{8, 64} {
 			for _, g := range []int{8, 64} {
 				s, iv := SuccessRates(ScalabilityConfig{
-					TreeLings: 4096, TreeLingBytes: 16 << 20,
-					Utilization: u, Domains: d, MemoryBytes: uint64(g) << 30, Trials: 50, Seed: 3,
+					TreeLingBytes: 16 << 20,
+					Utilization:   u, Domains: d, MemoryBytes: uint64(g) << 30, Trials: 50, Seed: 3,
 				})
 				sMean += s
 				ivMean += iv
@@ -111,7 +111,7 @@ func TestFig22Surface(t *testing.T) {
 }
 
 func TestDeterministicMonteCarlo(t *testing.T) {
-	c := ScalabilityConfig{TreeLings: 4096, TreeLingBytes: 16 << 20,
+	c := ScalabilityConfig{TreeLingBytes: 16 << 20,
 		Utilization: 0.5, Domains: 32, MemoryBytes: 16 << 30, Trials: 100, Seed: 9}
 	s1, iv1 := SuccessRates(c)
 	s2, iv2 := SuccessRates(c)

@@ -101,9 +101,6 @@ func New(cfg config.CacheConfig, seed uint64, reservedWays int) (*Cache, error) 
 	return c, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() config.CacheConfig { return c.cfg }
-
 func (c *Cache) index(lineAddr uint64) uint64 {
 	if !c.cfg.Randomized {
 		return lineAddr & c.setMask
@@ -160,6 +157,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 }
 
 // Probe reports whether addr is present without changing any state.
+//
+//ivlint:allow nocaller — secmem's TestPathAddrsMatchReference checks that a cold walk cached every path node, and a test outside package cache cannot reach cache's test code
 func (c *Cache) Probe(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
 	for _, e := range c.set(lineAddr) {
@@ -212,16 +211,4 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".hits", &c.Hits)
 	r.RegisterCounter(prefix+".misses", &c.Misses)
 	r.RegisterCounter(prefix+".evictions", &c.Evictions)
-}
-
-// Occupancy returns the fraction of lines currently valid, over all
-// cfg.Ways ways of every set (reserved ways count as empty).
-func (c *Cache) Occupancy() float64 {
-	valid := 0
-	for _, e := range c.data {
-		if e != invalidTag {
-			valid++
-		}
-	}
-	return float64(valid) / float64(c.cfg.Sets()*c.cfg.Ways)
 }

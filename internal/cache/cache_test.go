@@ -11,6 +11,18 @@ func smallCfg(randomized bool) config.CacheConfig {
 	return config.CacheConfig{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, HitLatency: 5, Randomized: randomized}
 }
 
+// occupancy returns the fraction of lines currently valid, over all
+// cfg.Ways ways of every set (reserved ways count as empty).
+func occupancy(c *Cache) float64 {
+	valid := 0
+	for _, e := range c.data {
+		if e != invalidTag {
+			valid++
+		}
+	}
+	return float64(valid) / float64(c.cfg.Sets()*c.cfg.Ways)
+}
+
 func mustNew(t *testing.T, cfg config.CacheConfig, seed uint64, reserved int) *Cache {
 	t.Helper()
 	c, err := New(cfg, seed, reserved)
@@ -38,7 +50,7 @@ func TestHitAfterFill(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
-	sets := uint64(c.Config().Sets())
+	sets := uint64(smallCfg(false).Sets())
 	// Fill one set with Ways+1 distinct lines mapping to set 0.
 	for i := uint64(0); i < 5; i++ {
 		c.Access(i*sets*64, false)
@@ -54,7 +66,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDirtyWriteback(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
-	sets := uint64(c.Config().Sets())
+	sets := uint64(smallCfg(false).Sets())
 	c.Access(0, true) // dirty
 	var wb Result
 	for i := uint64(1); i <= 4; i++ {
@@ -84,7 +96,7 @@ func TestInvalidate(t *testing.T) {
 // in them, so with 1 of 4 ways reserved a thrashed set holds 3 lines.
 func TestReservedWaysNeverTakeFills(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 1)
-	sets := uint64(c.Config().Sets())
+	sets := uint64(smallCfg(false).Sets())
 	held := 0
 	for i := uint64(0); i < 100; i++ {
 		c.Access(i*sets*64, false)
@@ -141,14 +153,14 @@ func TestFlush(t *testing.T) {
 
 func TestOccupancy(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
-	if c.Occupancy() != 0 {
+	if occupancy(c) != 0 {
 		t.Fatal("empty cache occupancy must be 0")
 	}
 	for i := uint64(0); i < 64; i++ {
 		c.Access(i*64, false)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("full cache occupancy = %v", c.Occupancy())
+	if occupancy(c) != 1 {
+		t.Fatalf("full cache occupancy = %v", occupancy(c))
 	}
 }
 
@@ -175,7 +187,7 @@ func TestCapacityInvariant(t *testing.T) {
 		for _, a := range addrs {
 			c.Access(a, a%3 == 0)
 		}
-		return c.Occupancy() <= 1
+		return occupancy(c) <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -73,14 +73,14 @@ func TestMatchesStampedReference(t *testing.T) {
 			if ref.tick >= nearCeiling {
 				t.Fatalf("reference clock %d never renumbered its stamps", ref.tick)
 			}
-			if got, want := c.Occupancy(), ref.Occupancy(); got != want {
+			if got, want := occupancy(c), ref.Occupancy(); got != want {
 				t.Fatalf("Occupancy = %v; reference %v", got, want)
 			}
 			if got, want := c.Flush(), ref.Flush(); got != want {
 				t.Fatalf("Flush = %d dirty lines; reference %d", got, want)
 			}
-			if c.Occupancy() != 0 {
-				t.Fatalf("Occupancy after Flush = %v", c.Occupancy())
+			if occupancy(c) != 0 {
+				t.Fatalf("Occupancy after Flush = %v", occupancy(c))
 			}
 		})
 	}

@@ -224,15 +224,9 @@ type IvLeagueConfig struct {
 	// Hot region (IvLeague-Pro).
 	HotTrackerEntries int // per-domain access-frequency tracker entries
 	HotCounterBits    int // tracker counter width
-	// HotRegionPagesLog2 sets the tracking granularity: the tracker counts
-	// accesses per 2^k-page region and any page of a hot region migrates
-	// on its next access. Region tracking extends the 128-entry tracker's
-	// reach past the counter-cache capacity band (an "advanced hotpage
-	// detection mechanism" in the sense of Section VII-B, cf. Memtis).
-	HotRegionPagesLog2 int
-	HotThreshold       uint32
-	HotClearInterval   uint64 // accesses between tracker clears
-	HotRegionLeaves    int    // leaf-level nodes reserved per TreeLing for τhot
+	HotThreshold      uint32
+	HotClearInterval  uint64 // accesses between tracker clears
+	HotRegionLeaves   int    // leaf-level nodes reserved per TreeLing for τhot
 }
 
 // SimConfig controls run length and reproducibility.

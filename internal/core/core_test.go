@@ -97,8 +97,8 @@ func TestBasicAllocUsesLeafLevelOnly(t *testing.T) {
 			t.Fatalf("Basic allocated non-leaf node at level %d", lay.LevelOf(s.Node()))
 		}
 	}
-	if c.MappedPages(1) != 100 {
-		t.Fatalf("mapped = %d", c.MappedPages(1))
+	if mappedPages(c, 1) != 100 {
+		t.Fatalf("mapped = %d", mappedPages(c, 1))
 	}
 }
 
@@ -107,7 +107,7 @@ func TestBasicAllocDistinctSlots(t *testing.T) {
 	c.CreateDomain(1)
 	var ops OpList
 	seen := map[SlotID]bool{}
-	n := lay.TreeLingPages() + 10 // force a second TreeLing
+	n := treeLingPages(lay) + 10 // force a second TreeLing
 	for i := 0; i < n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
 		if err != nil {
@@ -135,8 +135,8 @@ func TestFreeThenReuse(t *testing.T) {
 	if s2 != s1 {
 		t.Fatalf("freed slot not reused: freed %v, got %v", s1, s2)
 	}
-	if c.MappedPages(1) != 1 {
-		t.Fatalf("mapped = %d", c.MappedPages(1))
+	if mappedPages(c, 1) != 1 {
+		t.Fatalf("mapped = %d", mappedPages(c, 1))
 	}
 }
 
@@ -184,8 +184,8 @@ func TestNFLAllocFreeInvariant(t *testing.T) {
 			bySlot[pfn] = s
 			ops.Reset()
 		}
-		if int(c.MappedPages(1)) != len(bySlot) {
-			t.Fatalf("mode %v: mapped count %d != %d", mode, c.MappedPages(1), len(bySlot))
+		if int(mappedPages(c, 1)) != len(bySlot) {
+			t.Fatalf("mode %v: mapped count %d != %d", mode, mappedPages(c, 1), len(bySlot))
 		}
 		util, _ := c.Utilization()
 		if util < 0.995 {
@@ -226,7 +226,7 @@ func TestInvertConversionAndResolve(t *testing.T) {
 	}
 	// The first page's original slot (root slot 0) must now be a parent
 	// slot, and Resolve must follow it to a deeper slot.
-	if !c.IsParentSlot(1, slots[0]) {
+	if !isParentSlot(c, 1, slots[0]) {
 		t.Fatalf("root slot 0 not converted: %v", slots[0])
 	}
 	r, changed := c.Resolve(1, slots[0])
@@ -236,7 +236,7 @@ func TestInvertConversionAndResolve(t *testing.T) {
 	if lay.LevelOf(r.Node()) >= lay.TreeLingHeight {
 		t.Fatal("resolved slot not below the root")
 	}
-	if !c.IsOccupied(1, r) {
+	if !isOccupied(c, 1, r) {
 		t.Fatal("resolved slot not occupied by the relocated page")
 	}
 	// Later pages' slots resolve to themselves.
@@ -302,7 +302,7 @@ func TestProMigratesHotPage(t *testing.T) {
 		t.Fatalf("migrations = %d", c.Migrations.Value())
 	}
 	// Slot occupancy must have moved.
-	if c.IsOccupied(1, slot) || !c.IsOccupied(1, cur) {
+	if isOccupied(c, 1, slot) || !isOccupied(c, 1, cur) {
 		t.Fatal("occupancy did not move with the migration")
 	}
 }
@@ -310,9 +310,8 @@ func TestProMigratesHotPage(t *testing.T) {
 func TestProLazyReclaimWhenHotRegionFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.IvLeague.HotThreshold = 1
-	cfg.IvLeague.HotRegionPagesLog2 = 0 // region == page
-	cfg.IvLeague.HotRegionLeaves = 1    // τhot: one node, 8 slots
-	cfg.IvLeague.HotClearInterval = 4   // residents go cold quickly
+	cfg.IvLeague.HotRegionLeaves = 1  // τhot: one node, 8 slots
+	cfg.IvLeague.HotClearInterval = 4 // residents go cold quickly
 	lay := layout.New(&cfg)
 	c := mustCtrl(t)(NewController(&cfg, lay, ModePro, nil))
 	c.CreateDomain(1)
@@ -351,7 +350,7 @@ func TestProHotRegionExcludedFromRegularAlloc(t *testing.T) {
 	c.CreateDomain(1)
 	var ops OpList
 	// Allocate a full TreeLing worth of pages; none may land in τhot.
-	n := lay.TreeLingSlots() / 2
+	n := lay.NodesPerTreeLing * lay.Arity / 2
 	for i := 0; i < n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
 		if err != nil {
@@ -369,7 +368,7 @@ func TestStarvationReported(t *testing.T) {
 	c := mustCtrl(t)(NewController(&cfg, lay, ModeBasic, nil))
 	c.CreateDomain(1)
 	var ops OpList
-	total := lay.TreeLingPages() * 32 // all TreeLings
+	total := treeLingPages(lay) * 32 // all TreeLings
 	var err error
 	for i := 0; i <= total; i++ {
 		_, err = c.AllocPage(1, layout.PFN(i), &ops)
@@ -391,7 +390,7 @@ func TestBVv1LeaksCrossTreeLingFrees(t *testing.T) {
 	c.CreateDomain(1)
 	var ops OpList
 	// Fill the first TreeLing fully so allocation moves to a second one.
-	n := lay.TreeLingPages()
+	n := treeLingPages(lay)
 	slots := make([]SlotID, 0, n+1)
 	for i := 0; i <= n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
@@ -421,7 +420,7 @@ func TestBVv2ReusesCrossTreeLingFrees(t *testing.T) {
 	c, lay := newCtrl(t, ModeBVv2, false)
 	c.CreateDomain(1)
 	var ops OpList
-	n := lay.TreeLingPages()
+	n := treeLingPages(lay)
 	slots := make([]SlotID, 0, n+1)
 	for i := 0; i <= n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
@@ -463,7 +462,7 @@ func TestBVMoreExpensiveThanNFL(t *testing.T) {
 		c, lay := newCtrl(t, mode, false)
 		c.CreateDomain(1)
 		var ops OpList
-		n := lay.TreeLingPages() * 3 / 2
+		n := treeLingPages(lay) * 3 / 2
 		for i := 0; i < n; i++ {
 			if _, err := c.AllocPage(1, layout.PFN(i), &ops); err != nil {
 				t.Fatal(err)
@@ -486,7 +485,7 @@ func TestNFLBHitRateHighForSequentialAlloc(t *testing.T) {
 	c, lay := newCtrl(t, ModeBasic, false)
 	c.CreateDomain(1)
 	var ops OpList
-	for i := 0; i < lay.TreeLingPages(); i++ {
+	for i := 0; i < treeLingPages(lay); i++ {
 		c.AllocPage(1, layout.PFN(i), &ops)
 		ops.Reset()
 	}

@@ -160,9 +160,6 @@ func (c *Controller) occupiedOf(tl int) []uint8 {
 // SetLeafUpdater installs the out-of-band LMM update callback.
 func (c *Controller) SetLeafUpdater(u LeafUpdater) { c.leaf = u }
 
-// Mode returns the controller's variant.
-func (c *Controller) Mode() Mode { return c.mode }
-
 // FreeTreeLings returns how many TreeLings remain unassigned.
 func (c *Controller) FreeTreeLings() int { return len(c.unassigned) - c.fifoHead }
 
@@ -519,8 +516,7 @@ func (c *Controller) FreePage(domainID int, pfn layout.PFN, slot SlotID, ops *Op
 		// Drop the τhot residency record unconditionally: a ρ-conversion
 		// can relocate a resident's hash into the regular region, and a
 		// record left behind would later migrate the freed frame's slot.
-		// The tracker is region-keyed; the region entry stays (other
-		// pages of the region may still be hot).
+		// The frame's tracker entry stays and ages out.
 		d.hotPages.del(pfn)
 		if c.isHotNode(slot.Node()) {
 			c.releaseHot(d, slot, ops)
@@ -576,14 +572,6 @@ func (c *Controller) releaseHot(d *Domain, slot SlotID, ops *OpList) {
 		}
 	}
 	c.leakSlot(d, slot.TreeLing())
-}
-
-// MappedPages returns the number of pages currently mapped in a domain.
-func (c *Controller) MappedPages(domainID int) uint64 {
-	if d := c.domains[domainID]; d != nil {
-		return d.mapped
-	}
-	return 0
 }
 
 // TreeLingsOf returns the TreeLings assigned to a domain (in order).

@@ -34,7 +34,7 @@ func TestProHotChainPreConvertedToRoot(t *testing.T) {
 			}
 			ps := MakeSlot(tl, p, slot)
 			onChain[ps] = true
-			if !c.IsParentSlot(1, ps) {
+			if !isParentSlot(c, 1, ps) {
 				t.Fatalf("slot %v on the τhot chain of hot node %d is not pre-converted", ps, hn)
 			}
 			node = p

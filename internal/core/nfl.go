@@ -275,21 +275,6 @@ func (s *nflSpace) clearSlot(tl, node, slot int) bool {
 	return true
 }
 
-// freeSlots returns the number of attachable slots tracked in the space.
-func (s *nflSpace) freeSlots() int {
-	n := 0
-	for _, r := range s.regions {
-		for _, e := range r.entries {
-			a := e.avail
-			for a != 0 {
-				a &= a - 1
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // trackedSlotCapacity returns arity × the number of real (non-padding)
 // entries, the denominator of the utilization metric.
 func (s *nflSpace) trackedSlotCapacity(arity int) int {

@@ -191,13 +191,13 @@ func TestNFLSpaceRewindFromExhausted(t *testing.T) {
 
 func TestNFLSpaceFreeSlotAccounting(t *testing.T) {
 	s := testSpace(0, 4)
-	if got := s.freeSlots(); got != 32 {
+	if got := freeSlots(s); got != 32 {
 		t.Fatalf("fresh free slots %d, want 32", got)
 	}
 	r, b := s.frontier()
 	tag, _ := s.peek(r, b)
 	s.take(r, b, tag)
-	if got := s.freeSlots(); got != 31 {
+	if got := freeSlots(s); got != 31 {
 		t.Fatalf("after take: %d", got)
 	}
 	if got := s.trackedSlotCapacity(8); got != 32 {

@@ -118,7 +118,6 @@ func TestNFLLookupMatchesScan(t *testing.T) {
 			cfg.IvLeague.TreeLingCount = 24
 			cfg.DRAM.SizeBytes = 24 * cfg.TreeLingBytes()
 			cfg.IvLeague.HotThreshold = 2
-			cfg.IvLeague.HotRegionPagesLog2 = 0
 			cfg.IvLeague.HotClearInterval = 64
 			cfg.IvLeague.HotRegionLeaves = 1
 			if err := cfg.Validate(); err != nil {

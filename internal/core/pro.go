@@ -210,14 +210,11 @@ func (c *Controller) OnAccess(domainID int, pfn layout.PFN, slot SlotID, ops *Op
 	if d == nil {
 		return slot, false
 	}
-	// Region-granular tracking: the tracker counts accesses per region;
-	// once a region is hot, each of its pages migrates on its next access.
-	region := uint64(pfn) >> uint(c.cfg.HotRegionPagesLog2)
-	hot := d.hot.observe(region)
+	hot := d.hot.observe(uint64(pfn))
 	d.sinceMig++
 	// The migration engine is rate-limited (one relocation per several
 	// memory-controller accesses) so τhot residency favours genuinely
-	// recurring regions instead of thrashing on one-shot traffic.
+	// recurring pages instead of thrashing on one-shot traffic.
 	if hot && d.sinceMig >= 8 {
 		if _, already := d.hotPages.get(pfn); !already && !c.isHotNode(slot.Node()) {
 			if ns, ok := c.migrateToHot(d, pfn, slot, ops); ok {
@@ -256,8 +253,8 @@ func (c *Controller) reclaimHot(d *Domain, ops *OpList) bool {
 			d.hotPages.set(pfn, rs)
 			slot = rs
 		}
-		if d.hot.atThreshold(uint64(pfn) >> uint(c.cfg.HotRegionPagesLog2)) {
-			// Its region is still actively hot: keep it resident.
+		if d.hot.atThreshold(uint64(pfn)) {
+			// It is still actively hot: keep it resident.
 			d.hotQueuePush(pfn)
 			requeued++
 			continue

@@ -11,9 +11,8 @@ import (
 // load, so it allocates only when its population reaches a new high, and
 // set/del churn at a steady population allocates nothing.
 //
-// noKey marks an empty cell. Both users key it by page-derived numbers
-// that never reach the all-ones value: the hot tracker by region number
-// (PFN >> HotRegionPagesLog2) and the τhot page table by PFN.
+// noKey marks an empty cell. Both users, the hot tracker and the τhot
+// page table, key it by PFN, which never reaches the all-ones value.
 type u64table struct {
 	cells []u64cell
 	shift uint // 64 - log2(len(cells)): the home cell is the hash's top bits

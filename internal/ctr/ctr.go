@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ivleague/internal/arena"
 	"ivleague/internal/config"
 	"ivleague/internal/layout"
 	"ivleague/internal/stats"
@@ -52,32 +53,20 @@ func (r *record) setMinor(i int, w uint, mask, v uint64) {
 	}
 }
 
-// Records live in a two-level chunked arena indexed by PFN: a directory of
-// chunks, each holding the records of ctrChunkPages consecutive frames,
-// and a live bitmap per chunk kept outside it. A chunk is then exactly
-// 32 KiB, the largest Go size class; with the bitmap inline it would be
-// rounded up to 40 KiB (DESIGN.md §17). Chunks materialize on first
-// touch, so sparse frame ranges (static partitioning hands each domain a
-// frame window starting at partition*size) cost one directory slot. A
-// dead record is all zeros, so reads skip the bitmap, and the
-// steady-state Increment/Counter path is pure indexing with no map
-// hashing and no allocation.
-const (
-	ctrChunkShift = 9
-	ctrChunkPages = 1 << ctrChunkShift
-	ctrChunkMask  = ctrChunkPages - 1
-)
-
-type ctrChunk [ctrChunkPages]record
-
 // Store holds the counter blocks of all allocated pages, keyed by physical
 // frame number. Blocks are created on demand (zero counters).
+//
+// The records live in an arena.Chunked, 512 to a chunk: exactly 32 KiB,
+// the largest Go size class. The live bitmap, one bit per frame, is a
+// flat slice beside the arena; inside a chunk it would round the chunk
+// up to 40 KiB (DESIGN.md §17). A dead record is all zeros, so reads
+// skip the bitmap, and the steady-state Increment/Counter path is pure
+// indexing with no map hashing and no allocation.
 type Store struct {
 	minorBits uint
 	minorMask uint64
-	chunks    []*ctrChunk
-	live      [][ctrChunkPages / 64]uint64 // live[ci] marks chunks[ci]'s records
-	count     int
+	recs      arena.Chunked[record]
+	live      []uint64 // bit pfn%64 of live[pfn/64] marks pfn's record live
 
 	Increments stats.Counter
 	Overflows  stats.Counter
@@ -95,48 +84,23 @@ func NewStore(minorBits int) *Store {
 	}
 }
 
-// peek returns pfn's record, or nil if its chunk was never touched. A
-// record that is not live reads as all zeros.
-func (s *Store) peek(pfn layout.PFN) *record {
-	ci := int(pfn >> ctrChunkShift)
-	if ci >= len(s.chunks) || s.chunks[ci] == nil {
-		return nil
-	}
-	return &s.chunks[ci][pfn&ctrChunkMask]
-}
-
 // get returns pfn's record, marking it live (zero counters) if it is not.
 //
 //ivlint:hotpath
 func (s *Store) get(pfn layout.PFN) *record {
-	ci := int(pfn >> ctrChunkShift)
-	for len(s.chunks) <= ci {
-		//ivlint:allow hotalloc — lazy chunk-directory growth: bounded by the PFN range, quiesces after warmup
-		s.chunks = append(s.chunks, nil)
-		//ivlint:allow hotalloc — the live bitmaps grow with the directory
-		s.live = append(s.live, [ctrChunkPages / 64]uint64{})
+	w := int(pfn >> 6)
+	if w >= len(s.live) {
+		//ivlint:allow hotalloc — the live bitmap grows with the frame range, then quiesces
+		s.live = append(s.live, make([]uint64, w+1-len(s.live))...)
 	}
-	ch := s.chunks[ci]
-	if ch == nil {
-		ch = &ctrChunk{}
-		s.chunks[ci] = ch
-	}
-	idx := int(pfn & ctrChunkMask)
-	if w := &s.live[ci][idx>>6]; *w&(1<<uint(idx&63)) == 0 {
-		*w |= 1 << uint(idx&63)
-		s.count++
-	}
-	return &ch[idx]
+	s.live[w] |= 1 << (pfn & 63)
+	return s.recs.Ensure(pfn)
 }
 
 // Has reports whether pfn has a live counter block.
 func (s *Store) Has(pfn layout.PFN) bool {
-	ci := int(pfn >> ctrChunkShift)
-	if ci >= len(s.live) {
-		return false
-	}
-	idx := int(pfn & ctrChunkMask)
-	return s.live[ci][idx>>6]&(1<<uint(idx&63)) != 0
+	w := int(pfn >> 6)
+	return w < len(s.live) && s.live[w]&(1<<(pfn&63)) != 0
 }
 
 // Counter returns the effective encryption counter for block bi of page
@@ -144,7 +108,7 @@ func (s *Store) Has(pfn layout.PFN) bool {
 //
 //ivlint:hotpath
 func (s *Store) Counter(pfn layout.PFN, bi int) uint64 {
-	r := s.peek(pfn)
+	r := s.recs.Get(pfn)
 	if r == nil {
 		return 0
 	}
@@ -178,20 +142,15 @@ func (s *Store) Drop(pfn layout.PFN) {
 	if !s.Has(pfn) {
 		return
 	}
-	ci, idx := int(pfn>>ctrChunkShift), int(pfn&ctrChunkMask)
-	s.live[ci][idx>>6] &^= 1 << uint(idx&63)
-	s.chunks[ci][idx] = record{}
-	s.count--
+	s.live[pfn>>6] &^= 1 << (pfn & 63)
+	*s.recs.Get(pfn) = record{}
 }
-
-// Len returns the number of materialized counter blocks.
-func (s *Store) Len() int { return s.count }
 
 // Snapshot returns the counter block value (copy) for hashing into the
 // integrity tree; untouched pages hash as the zero block.
 func (s *Store) Snapshot(pfn layout.PFN) Block {
 	var b Block
-	if r := s.peek(pfn); r != nil {
+	if r := s.recs.Get(pfn); r != nil {
 		b.Major = r[0]
 		for i := range b.Minors {
 			b.Minors[i] = uint8(r.minor(i, s.minorBits, s.minorMask))
@@ -214,13 +173,10 @@ func (s *Store) Set(pfn layout.PFN, b Block) {
 // PFNs returns the page frame numbers with materialized counter blocks in
 // ascending order.
 func (s *Store) PFNs() []layout.PFN {
-	pfns := make([]layout.PFN, 0, s.count)
-	for ci := range s.live {
-		for wi, w := range s.live[ci] {
-			base := layout.PFN(ci<<ctrChunkShift + wi<<6)
-			for ; w != 0; w &= w - 1 {
-				pfns = append(pfns, base+layout.PFN(bits.TrailingZeros64(w)))
-			}
+	var pfns []layout.PFN
+	for wi, w := range s.live {
+		for ; w != 0; w &= w - 1 {
+			pfns = append(pfns, layout.PFN(wi<<6+bits.TrailingZeros64(w)))
 		}
 	}
 	return pfns
@@ -229,23 +185,14 @@ func (s *Store) PFNs() []layout.PFN {
 // Clone deep-copies the store — the persisted counter image of a crash
 // snapshot. Statistics counters are carried over.
 func (s *Store) Clone() *Store {
-	c := &Store{
+	return &Store{
 		minorBits:  s.minorBits,
 		minorMask:  s.minorMask,
-		chunks:     make([]*ctrChunk, len(s.chunks)),
-		live:       append([][ctrChunkPages / 64]uint64(nil), s.live...),
-		count:      s.count,
+		recs:       s.recs.Clone(),
+		live:       append([]uint64(nil), s.live...),
 		Increments: s.Increments,
 		Overflows:  s.Overflows,
 	}
-	for ci, ch := range s.chunks {
-		if ch == nil {
-			continue
-		}
-		cp := *ch
-		c.chunks[ci] = &cp
-	}
-	return c
 }
 
 // RegisterMetrics registers the store's counters with a telemetry registry.

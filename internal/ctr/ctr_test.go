@@ -66,11 +66,11 @@ func TestEffectiveCounterMonotoneAcrossOverflow(t *testing.T) {
 func TestDrop(t *testing.T) {
 	s := NewStore(7)
 	s.Increment(2, 0)
-	if s.Len() != 1 {
-		t.Fatalf("len %d", s.Len())
+	if n := liveBlocks(s); n != 1 {
+		t.Fatalf("len %d", n)
 	}
 	s.Drop(2)
-	if s.Len() != 0 || s.Counter(2, 0) != 0 {
+	if liveBlocks(s) != 0 || s.Counter(2, 0) != 0 {
 		t.Fatal("drop failed")
 	}
 }

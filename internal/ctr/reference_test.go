@@ -3,6 +3,7 @@ package ctr
 import (
 	"fmt"
 
+	"ivleague/internal/arena"
 	"ivleague/internal/layout"
 	"ivleague/internal/stats"
 )
@@ -12,6 +13,13 @@ import (
 // inline. It is kept only as the reference the differential tests compare
 // Store against; apart from the ref prefix on its names, and Block's
 // Counter method becoming refCounter, the code is unchanged.
+
+// The reference store's chunk geometry, which is the arena's.
+const (
+	ctrChunkShift = arena.ChunkShift
+	ctrChunkPages = arena.ChunkLen
+	ctrChunkMask  = ctrChunkPages - 1
+)
 
 // refCounter returns the effective encryption counter for block bi.
 func refCounter(b *Block, bi int, minorBits int) uint64 {

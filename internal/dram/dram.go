@@ -84,9 +84,6 @@ func New(cfg config.DRAMConfig) *Model {
 	return m
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() config.DRAMConfig { return m.cfg }
-
 // mapAddr decomposes a physical byte address into channel, bank index and
 // row. Channel interleaving is at block granularity; banks interleave at
 // row granularity, which gives streaming accesses row locality.

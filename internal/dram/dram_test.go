@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 )
 
@@ -41,7 +42,7 @@ func TestBankConflictAddsWait(t *testing.T) {
 func TestWritePosted(t *testing.T) {
 	m := New(testCfg())
 	lat := m.Access(0, 0x2000, true)
-	if lat > m.Config().QueuePenalty*m.Config().QueueDepth {
+	if cfg := testCfg(); lat > cfg.QueuePenalty*cfg.QueueDepth {
 		t.Fatalf("posted write latency %d too high", lat)
 	}
 	if m.Writes.Value() != 1 || m.Reads.Value() != 0 {
@@ -101,7 +102,7 @@ func TestStatsAndReset(t *testing.T) {
 	}
 	reg.Reset()
 	snap = reg.Snapshot()
-	for _, name := range snap.CounterNames() {
+	for _, name := range stats.SortedKeys(snap.Counters) {
 		if v := snap.Counter(name); v != 0 {
 			t.Fatalf("%s = %d after Reset, want 0", name, v)
 		}
@@ -124,7 +125,7 @@ func TestWaitCapBounds(t *testing.T) {
 			maxLat = l
 		}
 	}
-	cfg := m.Config()
+	cfg := testCfg()
 	bound := 4*cfg.RowMissLatency + cfg.RowMissLatency + cfg.QueuePenalty*cfg.QueueDepth
 	if maxLat > bound {
 		t.Fatalf("latency %d exceeds bound %d", maxLat, bound)

@@ -67,14 +67,6 @@ const (
 	ClassScratchNode Class = "scratch-node"
 )
 
-// Classes returns every fault class in a fixed, deterministic order.
-func Classes() []Class {
-	return []Class{
-		ClassDataBit, ClassDataSplice, ClassMAC, ClassCounter, ClassTreeNode,
-		ClassNFLSet, ClassNFLClear, ClassLMM, ClassRollback, ClassScratchNode,
-	}
-}
-
 // Detectable reports whether the architecture is expected to detect the
 // class. The complement is benign by design, not a detection miss.
 func (c Class) Detectable() bool {

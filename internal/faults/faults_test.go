@@ -11,6 +11,14 @@ import (
 	"ivleague/internal/secmem"
 )
 
+// classes returns every fault class in a fixed, deterministic order.
+func classes() []Class {
+	return []Class{
+		ClassDataBit, ClassDataSplice, ClassMAC, ClassCounter, ClassTreeNode,
+		ClassNFLSet, ClassNFLClear, ClassLMM, ClassRollback, ClassScratchNode,
+	}
+}
+
 func testCfg() config.Config {
 	cfg := config.Default()
 	cfg.DRAM.SizeBytes = 256 << 20
@@ -30,7 +38,7 @@ var allSchemes = []config.Scheme{
 // the benign/detectable split the package documents.
 func TestClassTaxonomy(t *testing.T) {
 	seen := map[Class]bool{}
-	for _, c := range Classes() {
+	for _, c := range classes() {
 		if seen[c] {
 			t.Fatalf("class %s listed twice", c)
 		}
@@ -91,7 +99,7 @@ func mappedController(t *testing.T, scheme config.Scheme, write bool) *secmem.Co
 func TestInjectNeedsWrittenData(t *testing.T) {
 	for _, scheme := range allSchemes {
 		dataPlane := 0
-		for _, class := range Classes() {
+		for _, class := range classes() {
 			if !class.AppliesTo(scheme) {
 				continue
 			}
@@ -124,7 +132,7 @@ func TestFaultSweep(t *testing.T) {
 	}
 	injected, skipped := 0, 0
 	for _, scheme := range allSchemes {
-		for _, class := range Classes() {
+		for _, class := range classes() {
 			if !class.AppliesTo(scheme) {
 				continue
 			}
@@ -206,7 +214,7 @@ func FuzzFaultInjectDetect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, classIdx, schemeIdx uint8) {
 		cfg := testCfg()
 		scheme := allSchemes[int(schemeIdx)%len(allSchemes)]
-		class := Classes()[int(classIdx)%len(Classes())]
+		class := classes()[int(classIdx)%len(classes())]
 		if !class.AppliesTo(scheme) {
 			t.Skip()
 		}

@@ -548,7 +548,7 @@ func Fig21() *stats.Table {
 			cells := []string{fmt.Sprintf("%dGB", memGB), fmt.Sprintf("%dMB", mb)}
 			for _, skew := range []float64{1.0, 0.5, 0.1} {
 				cells = append(cells, fmt.Sprintf("%d",
-					analysis.RequiredTreeLings(memBytes, 1<<12, uint64(mb)<<20, skew)))
+					analysis.RequiredTreeLings(memBytes, analysis.MaxDomains, uint64(mb)<<20, skew)))
 			}
 			cells = append(cells, fmt.Sprintf("%d", (memBytes+uint64(mb)<<20-1)/(uint64(mb)<<20)))
 			t.AddRow(cells...)
@@ -599,7 +599,6 @@ func Fig22(o Options) (*stats.Table, error) {
 			seed := rng.ForkLabel(o.Cfg.Sim.Seed, pointLabel)
 			var r fig22Rates
 			r.Static, r.IvLeague = analysis.SuccessRates(analysis.ScalabilityConfig{
-				TreeLings:     4096,
 				TreeLingBytes: o.Cfg.TreeLingBytes(),
 				Utilization:   p.Utilization,
 				Domains:       p.Domains,

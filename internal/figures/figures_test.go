@@ -1,9 +1,11 @@
 package figures
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
+	"ivleague/internal/analysis"
 	"ivleague/internal/config"
 	"ivleague/internal/workload"
 )
@@ -84,6 +86,36 @@ func TestAnalyticalFigures(t *testing.T) {
 	for _, want := range []string{"NFL", "LMM cache", "Hotpage predictor", "total on-chip"} {
 		if !strings.Contains(t3, want) {
 			t.Fatalf("Table3 missing %q:\n%s", want, t3)
+		}
+	}
+}
+
+// TestFig22IvLeagueProvisioned runs Figure 22 at quick scale. At every
+// point the Section VI-D2 count must cover the memory, and IvLeague must
+// schedule at least 98% of the trials, as in the paper.
+func TestFig22IvLeagueProvisioned(t *testing.T) {
+	o := Quick()
+	f22, err := Fig22(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := o.Cfg.TreeLingBytes()
+	for _, row := range f22.Rows {
+		util, domains, memGB, iv := row[0], row[1], row[2], row[4]
+		gb, err := strconv.Atoi(memGB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := uint64(gb) << 30
+		if n := analysis.ProvisionedTreeLings(m, analysis.MaxDomains, s); n*s < m {
+			t.Errorf("%s GB: %d TreeLings of %d MiB do not cover the memory", memGB, n, s>>20)
+		}
+		rate, err := strconv.ParseFloat(iv, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rate < 0.98 {
+			t.Errorf("util %s, %s domains, %s GB: IvLeague success %.2f, want at least 0.98", util, domains, memGB, rate)
 		}
 	}
 }

@@ -49,6 +49,19 @@ func newSweepEngine(t *testing.T, dir string) *sweep.Engine {
 	return e
 }
 
+// countObjects counts the committed cell objects in the sweep store at
+// dir.
+func countObjects(dir string) int {
+	n := 0
+	filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && d != nil && !d.IsDir() && filepath.Ext(path) == ".json" {
+			n++
+		}
+		return nil
+	})
+	return n
+}
+
 // TestCachedSweepMatchesUncached is the core invariant: with a sweep
 // engine attached the figure tables are byte-identical to the plain
 // uncached path, both on the populating run and on a pure-hit rerun.
@@ -78,7 +91,7 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 	if m1.Hits.Load() != 0 || m1.Misses.Load() == 0 {
 		t.Fatalf("cold cache: hits=%d misses=%d", m1.Hits.Load(), m1.Misses.Load())
 	}
-	cells := e1.Cache().Len()
+	cells := countObjects(dir)
 	if uint64(cells) != m1.Misses.Load() {
 		t.Fatalf("cache holds %d objects after %d misses", cells, m1.Misses.Load())
 	}
@@ -168,18 +181,8 @@ func TestKillAndResume(t *testing.T) {
 	// Wait for the child to commit at least one object, then SIGKILL it
 	// mid-sweep. Counting committed .json objects is safe because every
 	// cache write is atomic — a half-written temp file never counts.
-	countObjects := func() int {
-		n := 0
-		filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d os.DirEntry, err error) error {
-			if err == nil && d != nil && !d.IsDir() && filepath.Ext(path) == ".json" {
-				n++
-			}
-			return nil
-		})
-		return n
-	}
 	deadline := time.Now().Add(2 * time.Minute)
-	for countObjects() == 0 {
+	for countObjects(dir) == 0 {
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
@@ -195,7 +198,7 @@ func TestKillAndResume(t *testing.T) {
 	if errors.As(err, &exit) && exit.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
 		t.Fatalf("child died of %v, not SIGKILL", exit)
 	}
-	survived := countObjects()
+	survived := countObjects(dir)
 	t.Logf("child SIGKILLed with %d cells committed", survived)
 
 	// Resume over the survivors.
@@ -211,7 +214,7 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatalf("resume answered %d hits, but %d cells survived the kill — the resume re-simulated cached work",
 			m.Hits.Load(), survived)
 	}
-	total := e.Cache().Len()
+	total := countObjects(dir)
 	if int(m.Misses.Load()) != total-survived {
 		t.Fatalf("resume simulated %d cells, want the %d missing ones", m.Misses.Load(), total-survived)
 	}

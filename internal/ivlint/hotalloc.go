@@ -37,6 +37,7 @@ var HotAlloc = &Analyzer{
 	Doc: "forbid map allocation and escaping append in functions reachable " +
 		"from an //ivlint:hotpath root; steady-state accesses must not allocate",
 	Packages: []string{
+		"ivleague/internal/arena",
 		"ivleague/internal/cache",
 		"ivleague/internal/pagetable",
 		"ivleague/internal/ctr",

@@ -9,8 +9,10 @@
 //     failures must surface as errors the kernel can report.
 //
 // The suite is a miniature go/analysis: each Analyzer runs over a
-// type-checked package (see Load) and reports Diagnostics. A finding that
-// is deliberate is suppressed in place with
+// type-checked package (see Load) and reports Diagnostics. A rule that
+// spans packages, such as nocaller's, also reads the module-wide view
+// Load attaches to every package (Pass.Module). A finding that is
+// deliberate is suppressed in place with
 //
 //	//ivlint:allow <analyzer> — <reason>
 //
@@ -61,7 +63,7 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, MapIter, PanicPath, ConfigAliasing, Printcall, FloatAccum, ErrDrop, HotAlloc}
+	return []*Analyzer{Determinism, MapIter, PanicPath, ConfigAliasing, Printcall, FloatAccum, ErrDrop, HotAlloc, NoCaller}
 }
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -82,6 +84,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Module is the package's module-wide view (Package.Module), nil for a
+	// package loaded alone.
+	Module *Module
 
 	diags []Diagnostic
 }
@@ -115,6 +120,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
+			Module:    pkg.Module,
 		}
 		a.Run(pass)
 		diags = append(diags, pass.diags...)

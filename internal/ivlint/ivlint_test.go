@@ -225,6 +225,7 @@ func TestDeletingSuppressionFails(t *testing.T) {
 		{"errdropt", unscoped(ErrDrop), "//ivlint:allow errdrop", "call to fakedev.Reset discards"},
 		{"mapitr", unscoped(MapIter), "//ivlint:allow mapiter", "writes output via fmt.Fprintln"},
 		{"hotalloc", unscoped(HotAlloc), "//ivlint:allow hotalloc", "escapes into c.arena"},
+		{"nocall/lib", NoCaller, "//ivlint:allow nocaller", "Allowed has no caller"},
 	}
 	for _, tc := range cases {
 		srcs := readTestDir(t, tc.dir)
@@ -453,5 +454,68 @@ func TestMapIterSortRemovalFails(t *testing.T) {
 	b, a := countFor(before, "appends to keys"), countFor(after, "appends to keys")
 	if b != 0 || a != 1 {
 		t.Fatalf("detaching the sort changed 'appends to keys' diagnostics %d -> %d, want 0 -> 1", b, a)
+	}
+}
+
+// loadNoCall loads the two nocaller golden packages, nocall/lib and the
+// nocall/app command that imports it, as one module, after edit (when
+// non-nil) rewrote their sources.
+func loadNoCall(t *testing.T, edit func(src string) string) (lib, app *Package) {
+	t.Helper()
+	load := func(dir string) *Package {
+		srcs := readTestDir(t, dir)
+		if edit != nil {
+			for name, src := range srcs {
+				srcs[name] = edit(src)
+			}
+		}
+		return loadTestSrc(t, dir, srcs)
+	}
+	lib, app = load("nocall/lib"), load("nocall/app")
+	mod := &Module{Packages: []*Package{lib, app}}
+	lib.Module, app.Module = mod, mod
+	return lib, app
+}
+
+func TestNoCallerGolden(t *testing.T) {
+	lib, app := loadNoCall(t, nil)
+	checkWants(t, lib, []*Analyzer{NoCaller})
+	checkWants(t, app, []*Analyzer{NoCaller})
+}
+
+// Removing a function's only reference must surface it. lib.Used is named
+// only in app, so it is reported once app stops calling it, and every lib
+// function app reaches is reported when lib is analyzed without app. The
+// two packages are type-checked separately, as export data makes them in
+// a real run, so the references match by key, not by object.
+func TestNoCallerReferenceRemovalFails(t *testing.T) {
+	lib, _ := loadNoCall(t, func(src string) string { return strings.Replace(src, "_ = lib.Used()", "", 1) })
+	if n := countFor(Run(lib, []*Analyzer{NoCaller}), "Used has no caller"); n != 1 {
+		t.Fatalf("lib.Used without its caller: %d diagnostics, want 1", n)
+	}
+	alone := Run(loadTestDir(t, "nocall/lib"), []*Analyzer{NoCaller})
+	for _, name := range []string{"Used", "Value", "T.Called", "(*T).Expr"} {
+		if n := countFor(alone, name+" has no caller"); n != 1 {
+			t.Errorf("%s without app: %d diagnostics, want 1", name, n)
+		}
+	}
+}
+
+// TestLoadSpansBothModules: whatever the patterns, the module-wide view
+// holds every package of the main module and of benchmark/, a module of
+// its own whose references nocaller counts.
+func TestLoadSpansBothModules(t *testing.T) {
+	pkgs, err := Load([]string{"ivleague/internal/stats"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, p := range pkgs[0].Module.Packages {
+		have[p.PkgPath] = true
+	}
+	for _, want := range []string{"ivleague/internal/stats", "ivleague/internal/secmem", "ivleague/cmd/ivsim", "ivleague/benchmark"} {
+		if !have[want] {
+			t.Errorf("module-wide view lacks %s", want)
+		}
 	}
 }

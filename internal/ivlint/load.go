@@ -11,9 +11,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Package is one loaded, type-checked package the analyzers run over.
@@ -23,6 +25,20 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+	// Module is the module-wide view the package was loaded with, for
+	// analyzers whose rule spans packages; nil for a package loaded alone.
+	Module *Module
+}
+
+// Module is every non-test package of the repository: the main module and
+// each module nested in its tree (benchmark/ has a go.mod of its own),
+// type-checked once. It is the module-wide pass's input.
+type Module struct {
+	Packages []*Package
+
+	// nocaller's reference set and interfaces, built on first use.
+	calls  map[funcKey]bool
+	ifaces map[string][]methodSigs
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -40,13 +56,76 @@ type listPkg struct {
 // parses and type-checks each matched (non-dependency) package from
 // source. Dependencies are never re-analyzed: their compiled export data
 // — produced by the same `go list` invocation — feeds the type checker.
+// Whatever the patterns, every returned package shares one Module that
+// holds all packages of both modules, so a cross-package rule sees every
+// reference.
 //
 // This deliberately reimplements a sliver of golang.org/x/tools
 // go/packages: the module is stdlib-only (see DESIGN.md), and the standard
 // toolchain already provides everything a single-module analysis needs.
 func Load(patterns []string) ([]*Package, error) {
+	fset := token.NewFileSet()
+	pkgs, err := loadIn(fset, "", patterns, nil)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := moduleDirs()
+	if err != nil {
+		return nil, err
+	}
+	have := map[string]*Package{}
+	for _, p := range pkgs {
+		have[p.PkgPath] = p
+	}
+	mod := &Module{}
+	for _, dir := range dirs {
+		all, err := loadIn(fset, dir, []string{"./..."}, have)
+		if err != nil {
+			return nil, err
+		}
+		mod.Packages = append(mod.Packages, all...)
+	}
+	for _, p := range pkgs {
+		p.Module = mod
+	}
+	return pkgs, nil
+}
+
+// moduleDirs returns the main module's directory and the directory of
+// every module nested in it, skipping what the go command skips
+// (testdata and directories starting with "." or "_").
+func moduleDirs() ([]string, error) {
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go env GOMOD: %v", err)
+	}
+	root := filepath.Dir(strings.TrimSpace(string(out)))
+	dirs := []string{root}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() || path == root {
+			return nil
+		}
+		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// loadIn runs `go list` for the patterns in dir (the current directory
+// when empty) and type-checks the matched packages from source, reusing
+// those already in have.
+func loadIn(fset *token.FileSet, dir string, patterns []string, have map[string]*Package) ([]*Package, error) {
 	args := append([]string{"list", "-deps", "-export", "-json", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -75,7 +154,6 @@ func Load(patterns []string) ([]*Package, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
 	lookup := func(path string) (io.ReadCloser, error) {
 		e, ok := exports[path]
 		if !ok {
@@ -88,6 +166,10 @@ func Load(patterns []string) ([]*Package, error) {
 	var pkgs []*Package
 	for _, lp := range roots {
 		if len(lp.GoFiles) == 0 || len(lp.CgoFiles) > 0 {
+			continue
+		}
+		if p, ok := have[lp.ImportPath]; ok {
+			pkgs = append(pkgs, p)
 			continue
 		}
 		var files []*ast.File

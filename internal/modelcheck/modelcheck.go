@@ -158,7 +158,6 @@ func smallConfig(o Options) (*config.Config, error) {
 	cfg.IvLeague.HotCounterBits = 4
 	cfg.IvLeague.HotThreshold = 2
 	cfg.IvLeague.HotClearInterval = 0
-	cfg.IvLeague.HotRegionPagesLog2 = 0
 	cfg.IvLeague.HotRegionLeaves = 1
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("modelcheck: downsized config invalid: %w", err)

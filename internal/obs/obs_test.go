@@ -18,6 +18,14 @@ import (
 	"ivleague/internal/telemetry"
 )
 
+// owner returns the guard's current owner's name, "" when free.
+func owner(g *CPUProfileGuard) string {
+	if p := g.owner.Load(); p != nil {
+		return *p
+	}
+	return ""
+}
+
 func testSnapshot() telemetry.Snapshot {
 	return telemetry.Snapshot{
 		Phase: "measure",
@@ -125,13 +133,13 @@ func TestProgressRegister(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	engine.Metrics().Register(reg)
 	snap := reg.Snapshot()
-	if got := snap.Gauge("sweep.cell.planned"); got != 4 {
+	if got := snap.Gauges["sweep.cell.planned"]; got != 4 {
 		t.Fatalf("planned gauge = %v", got)
 	}
-	if got := snap.Gauge("sweep.cell.done"); got != 1 {
+	if got := snap.Gauges["sweep.cell.done"]; got != 1 {
 		t.Fatalf("done gauge = %v", got)
 	}
-	p50 := snap.Gauge("sweep.cell.latency_ms.p50")
+	p50 := snap.Gauges["sweep.cell.latency_ms.p50"]
 	if p50 < 20 || p50 != float64(engine.Metrics().Progress().Latency.P50Ms) {
 		t.Fatalf("p50 gauge = %v, report %+v", p50, engine.Metrics().Progress().Latency)
 	}
@@ -154,14 +162,14 @@ func TestProgressRegister(t *testing.T) {
 
 func TestCPUProfileGuard(t *testing.T) {
 	var g CPUProfileGuard
-	if g.Owner() != "" {
+	if owner(&g) != "" {
 		t.Fatal("fresh guard has an owner")
 	}
 	if err := g.Acquire("file.prof"); err != nil {
 		t.Fatal(err)
 	}
-	if g.Owner() != "file.prof" {
-		t.Fatalf("owner = %q", g.Owner())
+	if owner(&g) != "file.prof" {
+		t.Fatalf("owner = %q", owner(&g))
 	}
 	if err := g.Acquire("endpoint"); err == nil {
 		t.Fatal("second Acquire succeeded")

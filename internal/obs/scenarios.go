@@ -285,8 +285,8 @@ func mapProScenario() (Scenario, error) {
 // counted in trials.
 func fig22Scenario() (Scenario, error) {
 	sc := analysis.ScalabilityConfig{
-		TreeLings: 4096, TreeLingBytes: 16 << 20,
-		Utilization: 0.8, Domains: 128, MemoryBytes: 32 << 30,
+		TreeLingBytes: 16 << 20,
+		Utilization:   0.8, Domains: 128, MemoryBytes: 32 << 30,
 		Trials: 200, Seed: 42,
 	}
 	fp, err := sweep.CellKey{

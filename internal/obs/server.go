@@ -49,17 +49,6 @@ func (g *CPUProfileGuard) Release() {
 	}
 }
 
-// Owner returns the current owner's name, "" when free.
-func (g *CPUProfileGuard) Owner() string {
-	if g == nil {
-		return ""
-	}
-	if p := g.owner.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // ServerConfig wires a Server's surfaces. Nil sources disable their
 // endpoint (404), so one server type covers ivbench (sweep metrics +
 // progress) and ivsim (published machine snapshots, no progress).

@@ -87,9 +87,6 @@ func (f *FrameAllocator) Free(pfn layout.PFN) error {
 	return nil
 }
 
-// InUse returns the number of frames currently allocated.
-func (f *FrameAllocator) InUse() uint64 { return f.inUse }
-
 // WriteState dumps the allocator's behavioural state — range, bump
 // pointer and the free list in LIFO pop order — in a canonical text form.
 // The model checker folds it into its state fingerprint: two allocators
@@ -165,6 +162,3 @@ func (p *Process) Unmap(vpn layout.VPN) (bool, error) {
 	p.PagesFreed.Inc()
 	return true, nil
 }
-
-// Mapped returns the number of currently mapped pages.
-func (p *Process) Mapped() uint64 { return p.Table.Mapped() }

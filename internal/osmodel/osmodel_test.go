@@ -14,11 +14,11 @@ func TestFrameAllocatorBasics(t *testing.T) {
 	if err != nil || a != 10 {
 		t.Fatalf("first frame %d err %v", a, err)
 	}
-	if f.InUse() != 1 {
+	if f.inUse != 1 {
 		t.Fatal("in-use not tracked")
 	}
 	f.Free(a)
-	if f.InUse() != 0 {
+	if f.inUse != 0 {
 		t.Fatal("free not tracked")
 	}
 	// Freed frames are recycled (LIFO).
@@ -83,7 +83,7 @@ func TestProcessTouchAndUnmap(t *testing.T) {
 	if ok, err := p.Unmap(42); !ok || err != nil {
 		t.Fatalf("unmap failed: ok=%v err=%v", ok, err)
 	}
-	if unmapped != 1 || p.Mapped() != 0 || frames.InUse() != 0 {
+	if unmapped != 1 || len(p.Table.VPNs()) != 0 || frames.inUse != 0 {
 		t.Fatal("unmap bookkeeping wrong")
 	}
 	if ok, err := p.Unmap(42); ok || !errors.Is(err, ErrNotMapped) {

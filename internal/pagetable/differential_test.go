@@ -47,8 +47,8 @@ func TestMatchesReferenceTable(t *testing.T) {
 					t.Fatalf("levels %v op %d: Lookup(%#x) = %d, %v; reference %+v", levels, i, uint64(vpn), got, ok, want)
 				}
 			}
-			if pt.Mapped() != ref.Mapped() {
-				t.Fatalf("levels %v op %d: Mapped = %d; reference %d", levels, i, pt.Mapped(), ref.Mapped())
+			if pt.mapped != ref.Mapped() {
+				t.Fatalf("levels %v op %d: Mapped = %d; reference %d", levels, i, pt.mapped, ref.Mapped())
 			}
 			if i%10_000 == 0 || i == ops-1 {
 				if got, want := pt.VPNs(), ref.VPNs(); !slices.Equal(got, want) {

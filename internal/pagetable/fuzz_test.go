@@ -69,8 +69,8 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 					t.Fatalf("lookup(%#x) returned pfn %d, want %d", vpn, got, want)
 				}
 			}
-			if pt.Mapped() != uint64(len(shadow)) || ref.Mapped() != pt.Mapped() {
-				t.Fatalf("mapped count %d, reference %d, shadow %d", pt.Mapped(), ref.Mapped(), len(shadow))
+			if pt.mapped != uint64(len(shadow)) || ref.Mapped() != pt.mapped {
+				t.Fatalf("mapped count %d, reference %d, shadow %d", pt.mapped, ref.Mapped(), len(shadow))
 			}
 		}
 		// Every shadow entry must still look up correctly.

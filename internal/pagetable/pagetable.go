@@ -68,9 +68,6 @@ func New(levels []uint) *Table {
 // Depth returns the number of page-table levels (walk length).
 func (t *Table) Depth() int { return len(t.levels) }
 
-// Mapped returns the number of present PTEs.
-func (t *Table) Mapped() uint64 { return t.mapped }
-
 func (t *Table) index(vpn layout.VPN, level int) uint64 {
 	return (uint64(vpn) >> t.shifts[level]) & (1<<t.levels[level] - 1)
 }

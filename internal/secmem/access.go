@@ -54,13 +54,17 @@ func (c *Controller) auditTouch(domain, tl, level, node int) {
 // TreeLing) and installs the LMM entry; static partitioning checks the
 // frame lies in the domain's partition. It returns the added latency.
 func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layout.PFN) (int, error) {
-	pm := c.pages.ensure(pfn)
-	if !pm.mapped {
-		c.pages.n++
+	if uint64(domain)>>ownerDomBits != 0 {
+		return 0, fmt.Errorf("secmem: domain %d outside [0, 2^%d)", domain, ownerDomBits)
 	}
-	pm.vpn = vpn
-	pm.dom = int32(domain)
-	pm.mapped = true
+	if uint64(vpn)>>ownerVPNBits != 0 {
+		return 0, fmt.Errorf("secmem: vpn %#x wider than %d bits", uint64(vpn), ownerVPNBits)
+	}
+	pm := c.pages.Ensure(pfn)
+	if !pm.mapped() {
+		c.nMapped++
+	}
+	pm.owner = ownerMapped | uint64(domain)<<ownerVPNBits | uint64(vpn)
 	switch {
 	case c.ivc != nil:
 		c.ops.Reset()
@@ -68,12 +72,11 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 		if err != nil {
 			// A rejected map (TreeLing starvation) must leave no residue,
 			// or a phantom page with no slot would linger in the metadata.
-			pm.mapped = false
-			c.pages.n--
+			pm.owner &^= ownerMapped
+			c.nMapped--
 			return 0, err
 		}
-		pm.slot = slot
-		pm.hasSlot = true
+		pm.setSlot(slot)
 		c.lmm.Access(domain, vpn, true) // install the LMM entry
 		mmT := c.phases.Start()
 		lat, err := c.replayOps(now, domain)
@@ -125,23 +128,23 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 // (freeing an unknown or already-free slot) means the OS and the scheme
 // disagree about the page's state; the caller must fail the run.
 func (c *Controller) OnPageUnmap(now uint64, domain int, vpn layout.VPN, pfn layout.PFN) (int, error) {
-	pm := c.pages.get(pfn)
-	if pm != nil && pm.mapped {
-		pm.mapped = false
-		c.pages.n--
+	pm := c.pages.Get(pfn)
+	if pm != nil && pm.mapped() {
+		pm.owner &^= ownerMapped
+		c.nMapped--
 	}
 	c.counters.Drop(pfn)
-	if c.datamem != nil {
+	if p := c.data.Get(pfn); p != nil {
 		// The counters died with the mapping, so any retained ciphertext
 		// is undecryptable garbage: a re-mapped frame must read as
 		// never-written memory, not fail the MAC check on stale blocks.
-		c.datamem.dropPage(pfn)
+		*p = nil
 	}
 	if c.ivc != nil {
 		c.ops.Reset()
 		var slot core.SlotID
-		if pm != nil && pm.hasSlot {
-			slot = pm.slot
+		if pm != nil {
+			slot, _ = pm.slot()
 		}
 		if rs, changed := c.ivc.Resolve(domain, slot); changed {
 			slot = rs
@@ -150,8 +153,7 @@ func (c *Controller) OnPageUnmap(now uint64, domain int, vpn layout.VPN, pfn lay
 			return 0, fmt.Errorf("secmem: FreePage: %w", err)
 		}
 		if pm != nil {
-			pm.slot = 0
-			pm.hasSlot = false
+			pm.lmm = 0
 		}
 		c.lmm.Invalidate(domain, vpn)
 		mmT := c.phases.Start()
@@ -207,15 +209,15 @@ func (c *Controller) Do(req AccessRequest) (AccessResult, error) {
 		} else {
 			lat += c.cfg.IvLeague.LMMCache.HitLatency
 		}
-		pm := c.pages.get(req.PFN)
-		if pm == nil || !pm.hasSlot {
+		pm := c.pages.Get(req.PFN)
+		if pm == nil || pm.lmm == 0 {
 			return AccessResult{}, fmt.Errorf("secmem: access to unmapped pfn %d", uint64(req.PFN))
 		}
-		slot = pm.slot
+		slot, _ = pm.slot()
 		if rs, changed := c.ivc.Resolve(req.Domain, slot); changed {
 			// Figure 12c: the LMM pointed at a converted parent slot;
 			// refresh it to the page's effective slot.
-			pm.slot = rs
+			pm.setSlot(rs)
 			slot = rs
 			c.lmm.Access(req.Domain, req.VPN, true)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ivleague/internal/arena"
 	"ivleague/internal/config"
 	"ivleague/internal/ctr"
 	"ivleague/internal/layout"
@@ -36,103 +37,50 @@ func (p *dataPage) setPresent(block int) {
 	p.present[block>>6] |= 1 << uint(block&63)
 }
 
-// The functional data plane is a two-level chunked arena indexed by PFN:
-// a directory of chunks, each holding pointers to per-page block arrays
-// that materialize on a page's first write. A steady-state write to an
-// already-materialized page encrypts in place — no map insert, no per-block
-// allocation.
-const (
-	dataChunkShift = 9
-	dataChunkSize  = 1 << dataChunkShift
-	dataChunkMask  = dataChunkSize - 1
-)
-
-type dataPlane struct {
-	chunks [][]*dataPage
-}
-
-// page returns the data page for pfn, or nil if never written.
-func (d *dataPlane) page(pfn layout.PFN) *dataPage {
-	ci := int(pfn >> dataChunkShift)
-	if ci >= len(d.chunks) || d.chunks[ci] == nil {
-		return nil
-	}
-	return d.chunks[ci][int(pfn&dataChunkMask)]
-}
-
-// ensure returns the data page for pfn, materializing it if needed.
-func (d *dataPlane) ensure(pfn layout.PFN) *dataPage {
-	ci := int(pfn >> dataChunkShift)
-	for len(d.chunks) <= ci {
-		d.chunks = append(d.chunks, nil)
-	}
-	if d.chunks[ci] == nil {
-		d.chunks[ci] = make([]*dataPage, dataChunkSize)
-	}
-	p := d.chunks[ci][int(pfn&dataChunkMask)]
-	if p == nil {
-		p = &dataPage{}
-		d.chunks[ci][int(pfn&dataChunkMask)] = p
-	}
-	return p
-}
-
-// dropPage discards every block of a page (unmap).
-func (d *dataPlane) dropPage(pfn layout.PFN) {
-	ci := int(pfn >> dataChunkShift)
-	if ci >= len(d.chunks) || d.chunks[ci] == nil {
-		return
-	}
-	d.chunks[ci][int(pfn&dataChunkMask)] = nil
-}
-
-// forEach visits every present block in ascending (pfn, block) order —
-// equivalently ascending byte address, the digest's canonical order.
-func (d *dataPlane) forEach(fn func(pfn layout.PFN, block int, st *blockState)) {
-	for ci, ch := range d.chunks {
-		if ch == nil {
-			continue
-		}
-		base := layout.PFN(ci) << dataChunkShift
-		for i, p := range ch {
-			if p == nil {
-				continue
-			}
-			for b := 0; b < config.BlocksPerPage; b++ {
+// eachBlock visits every written block of the data plane in ascending
+// (pfn, block) order — equivalently ascending byte address, the digest's
+// canonical order.
+func eachBlock(data *arena.Chunked[*dataPage], fn func(pfn layout.PFN, block int, st *blockState)) {
+	data.Each(func(pfn layout.PFN, pp **dataPage) {
+		if p := *pp; p != nil {
+			for b := range p.blocks {
 				if p.isPresent(b) {
-					fn(base+layout.PFN(i), b, &p.blocks[b])
+					fn(pfn, b, &p.blocks[b])
 				}
 			}
 		}
-	}
+	})
 }
 
-// clone deep-copies the plane (the persisted data image of a crash
+// cloneData deep-copies a data plane (the persisted data image of a crash
 // snapshot).
-func (d *dataPlane) clone() *dataPlane {
-	c := &dataPlane{chunks: make([][]*dataPage, len(d.chunks))}
-	for ci, ch := range d.chunks {
-		if ch == nil {
-			continue
+func cloneData(data *arena.Chunked[*dataPage]) arena.Chunked[*dataPage] {
+	c := data.Clone()
+	c.Each(func(_ layout.PFN, pp **dataPage) {
+		if *pp != nil {
+			cp := **pp
+			*pp = &cp
 		}
-		nch := make([]*dataPage, dataChunkSize)
-		for i, p := range ch {
-			if p != nil {
-				cp := *p
-				nch[i] = &cp
-			}
-		}
-		c.chunks[ci] = nch
-	}
+	})
 	return c
 }
 
-// dataMem lazily materializes the functional data plane.
-func (c *Controller) dataMem() *dataPlane {
-	if c.datamem == nil {
-		c.datamem = &dataPlane{}
+// dataPage returns pfn's data page, or nil if it was never written.
+func (c *Controller) dataPage(pfn layout.PFN) *dataPage {
+	if pp := c.data.Get(pfn); pp != nil {
+		return *pp
 	}
-	return c.datamem
+	return nil
+}
+
+// ensureDataPage returns pfn's data page, making it on the page's first
+// write.
+func (c *Controller) ensureDataPage(pfn layout.PFN) *dataPage {
+	pp := c.data.Ensure(pfn)
+	if *pp == nil {
+		*pp = &dataPage{}
+	}
+	return *pp
 }
 
 // WriteBlock performs a full secure write: the timing path (counter bump,
@@ -153,7 +101,7 @@ func (c *Controller) WriteBlock(req AccessRequest, plain []byte) (AccessResult, 
 	}
 	addr := layout.DataBlockAddr(req.PFN, req.Block)
 	cnt := c.counters.Counter(req.PFN, req.Block)
-	p := c.dataMem().ensure(req.PFN)
+	p := c.ensureDataPage(req.PFN)
 	st := &p.blocks[req.Block]
 	c.engine.EncryptBlock(st.ct[:], plain, addr, cnt)
 	st.mac = c.engine.MAC(st.ct[:], addr, cnt)
@@ -180,7 +128,7 @@ func (c *Controller) ReadBlock(req AccessRequest, dst []byte) (AccessResult, err
 		return AccessResult{}, err // integrity-tree violation
 	}
 	addr := layout.DataBlockAddr(req.PFN, req.Block)
-	p := c.dataMem().page(req.PFN)
+	p := c.dataPage(req.PFN)
 	if p == nil || !p.isPresent(req.Block) {
 		// Never-written memory decrypts to zeros by convention.
 		for i := range dst {
@@ -219,7 +167,7 @@ type BlockSnapshot struct {
 
 // SnapshotBlock records the current off-chip state of (pfn, block).
 func (c *Controller) SnapshotBlock(pfn layout.PFN, block int) (*BlockSnapshot, error) {
-	p := c.dataMem().page(pfn)
+	p := c.dataPage(pfn)
 	if p == nil || !p.isPresent(block) {
 		addr := layout.DataBlockAddr(pfn, block)
 		return nil, fmt.Errorf("%w: no data at %#x to snapshot", ErrNoTamperTarget, addr)
@@ -232,7 +180,7 @@ func (c *Controller) SnapshotBlock(pfn layout.PFN, block int) (*BlockSnapshot, e
 // self-consistent, so the MAC check alone cannot catch it; only the
 // integrity tree (whose root is on-chip) detects the stale counter.
 func (c *Controller) ReplayBlock(s *BlockSnapshot) {
-	p := c.dataMem().ensure(s.pfn)
+	p := c.ensureDataPage(s.pfn)
 	p.blocks[s.block] = s.st
 	p.setPresent(s.block)
 	c.counters.Set(s.pfn, s.counter)

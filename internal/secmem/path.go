@@ -24,7 +24,7 @@ type pathCursor struct {
 // Under IvLeague the path runs from the node holding slot, the page's
 // effective slot, to its TreeLing root (the levels above are on-chip).
 // Under the global tree it runs from level 1 to the root (Baseline) or to
-// partLevel, where the partition's subtree root sits (StaticPartition).
+// partLevel, where the partition's subtree roots sit (StaticPartition).
 func (c *Controller) path(pfn layout.PFN, slot core.SlotID) pathCursor {
 	if c.ivc != nil {
 		node := slot.Node()
@@ -69,11 +69,12 @@ func (c *Controller) PathAddrs(pfn layout.PFN) ([]uint64, error) {
 	}
 	var slot core.SlotID
 	if c.ivc != nil {
-		pm := c.pages.get(pfn)
-		if pm == nil || !pm.mapped {
+		pm := c.pages.Get(pfn)
+		if pm == nil || !pm.mapped() {
 			return nil, fmt.Errorf("secmem: pfn %d is not mapped", uint64(pfn))
 		}
-		slot, _ = c.ivc.Resolve(int(pm.dom), pm.slot)
+		slot, _ = pm.slot()
+		slot, _ = c.ivc.Resolve(pm.dom(), slot)
 	}
 	var addrs []uint64
 	for p := c.path(pfn, slot); p.level <= p.top; p.next() {

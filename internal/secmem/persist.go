@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ivleague/internal/arena"
 	"ivleague/internal/config"
 	"ivleague/internal/core"
 	"ivleague/internal/ctr"
@@ -42,7 +43,7 @@ type Image struct {
 	scheme    config.Scheme
 	partCount int
 	counters  *ctr.Store
-	datamem   *dataPlane
+	data      arena.Chunked[*dataPage]
 	pages     []pageImage
 	partOf    map[int]int
 	forest    *tree.Forest
@@ -62,22 +63,14 @@ func (c *Controller) Persist() (*Image, error) {
 		partCount: c.partCount,
 		counters:  c.counters.Clone(),
 	}
-	if c.datamem != nil {
-		img.datamem = c.datamem.clone()
-	}
+	img.data = cloneData(&c.data)
 	// Every frame with live metadata (mapped, or carrying a slot entry)
 	// is persisted in ascending PFN order.
-	for ci, ch := range c.pages.chunks {
-		if ch == nil {
-			continue
+	c.pages.Each(func(pfn layout.PFN, pm *pageMeta) {
+		if pm.mapped() || pm.lmm != 0 {
+			img.pages = append(img.pages, pageImage{pfn: pfn, meta: *pm})
 		}
-		base := layout.PFN(ci) << pageChunkShift
-		for i := range ch {
-			if ch[i].mapped || ch[i].hasSlot {
-				img.pages = append(img.pages, pageImage{pfn: base + layout.PFN(i), meta: ch[i]})
-			}
-		}
-	}
+	})
 	if c.partOf != nil {
 		img.partOf = make(map[int]int, len(c.partOf))
 		for _, id := range stats.SortedKeys(c.partOf) {
@@ -112,14 +105,11 @@ func Recover(cfg *config.Config, img *Image, opts ...Option) (*Controller, error
 		return nil, err
 	}
 	c.counters = img.counters.Clone()
-	if img.datamem != nil {
-		c.datamem = img.datamem.clone()
-	}
+	c.data = cloneData(&img.data)
 	for _, pi := range img.pages {
-		pm := c.pages.ensure(pi.pfn)
-		*pm = pi.meta
-		if pm.mapped {
-			c.pages.n++
+		*c.pages.Ensure(pi.pfn) = pi.meta
+		if pi.meta.mapped() {
+			c.nMapped++
 		}
 	}
 	if img.partOf != nil {
@@ -202,18 +192,15 @@ func (c *Controller) StateDigest() []byte {
 		blk := c.counters.Snapshot(pfn)
 		fmt.Fprintf(&b, "ctr %d major=%d minors=%x\n", uint64(pfn), blk.Major, blk.Minors)
 	}
-	if c.datamem != nil {
-		c.datamem.forEach(func(pfn layout.PFN, block int, st *blockState) {
-			addr := layout.DataBlockAddr(pfn, block)
-			fmt.Fprintf(&b, "data %#x mac=%x ct=%x\n", addr, st.mac, st.ct)
-		})
-	}
-	c.pages.forEachMapped(func(pfn layout.PFN, pm *pageMeta) {
-		slot := uint64(0)
-		if pm.hasSlot {
-			slot = uint64(pm.slot)
+	eachBlock(&c.data, func(pfn layout.PFN, block int, st *blockState) {
+		addr := layout.DataBlockAddr(pfn, block)
+		fmt.Fprintf(&b, "data %#x mac=%x ct=%x\n", addr, st.mac, st.ct)
+	})
+	c.pages.Each(func(pfn layout.PFN, pm *pageMeta) {
+		if pm.mapped() {
+			slot, _ := pm.slot()
+			fmt.Fprintf(&b, "page pfn=%d dom=%d vpn=%d slot=%x\n", uint64(pfn), pm.dom(), uint64(pm.vpn()), uint64(slot))
 		}
-		fmt.Fprintf(&b, "page pfn=%d dom=%d vpn=%d slot=%x\n", uint64(pfn), pm.dom, uint64(pm.vpn), slot)
 	})
 	for _, id := range stats.SortedKeys(c.partOf) {
 		fmt.Fprintf(&b, "part %d=%d\n", id, c.partOf[id])

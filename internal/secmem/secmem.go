@@ -15,6 +15,7 @@ package secmem
 import (
 	"fmt"
 
+	"ivleague/internal/arena"
 	"ivleague/internal/cache"
 	"ivleague/internal/config"
 	"ivleague/internal/core"
@@ -22,77 +23,56 @@ import (
 	"ivleague/internal/ctr"
 	"ivleague/internal/dram"
 	"ivleague/internal/layout"
+	"ivleague/internal/pagetable"
 	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 	"ivleague/internal/tree"
 )
 
-// Page metadata lives in a two-level chunked arena indexed by PFN: a
-// directory of fixed-size chunks that materialize on first touch. Sparse
-// frame windows (static partitioning starts each domain at partition*size)
-// cost one directory slot per untouched chunk, while the steady-state
-// lookup on the access path is pure indexing — no map hashing, no
-// allocation.
+// pageMeta is the extended-PTE state the controller keeps per frame, in
+// two words (DESIGN.md §17). The Phoenix-style crash image persists it as
+// is, and StateDigest reads it.
+//
+//   - lmm holds the page's TreeLing slot plus one, 0 meaning no slot: the
+//     LMM truth, the Leaf ID the paper keeps in the extended PTE. A zeroed
+//     chunk reads "no slot", and core.InvalidSlot encodes as 0.
+//   - owner holds the VPN in bits 0–35, the owning domain in bits 36–62
+//     and the mapped flag in bit 63: the inverse mapping Pro migration
+//     needs for its out-of-band LMM update, and the owner that fault and
+//     recovery attribution read.
+type pageMeta struct {
+	lmm   uint64
+	owner uint64
+}
+
+// The owner word's fields. OnPageMap rejects a VPN or domain that does
+// not fit.
 const (
-	pageChunkShift = 9
-	pageChunkSize  = 1 << pageChunkShift
-	pageChunkMask  = pageChunkSize - 1
+	ownerVPNBits = pagetable.VPNBits
+	ownerDomBits = 63 - ownerVPNBits
+	ownerMapped  = 1 << 63
 )
 
-// pageMeta is the extended-PTE state the controller keeps per frame: the
-// page's TreeLing slot (the LMM truth; hasSlot distinguishes "no slot" from
-// slot zero), the inverse VPN mapping needed for out-of-band LMM updates
-// (Pro migration), and the owning domain for fault/recovery attribution.
-type pageMeta struct {
-	slot    core.SlotID
-	vpn     layout.VPN
-	dom     int32
-	mapped  bool
-	hasSlot bool
+// slot returns the page's TreeLing slot; ok is false, and the slot 0,
+// when it has none.
+func (pm *pageMeta) slot() (s core.SlotID, ok bool) {
+	if pm.lmm == 0 {
+		return 0, false
+	}
+	return core.SlotID(pm.lmm - 1), true
 }
 
-// pageTable is the chunked frame-metadata arena.
-type pageTable struct {
-	chunks [][]pageMeta
-	n      int // mapped frames
-}
+// setSlot records slot as the page's TreeLing slot.
+func (pm *pageMeta) setSlot(slot core.SlotID) { pm.lmm = uint64(slot) + 1 }
 
-// get returns the metadata entry for pfn, or nil if its chunk was never
-// touched. The returned pointer is stable until the chunk directory grows.
-func (t *pageTable) get(pfn layout.PFN) *pageMeta {
-	ci := int(pfn >> pageChunkShift)
-	if ci >= len(t.chunks) || t.chunks[ci] == nil {
-		return nil
-	}
-	return &t.chunks[ci][int(pfn&pageChunkMask)]
-}
+// mapped reports whether the frame is mapped.
+func (pm *pageMeta) mapped() bool { return pm.owner&ownerMapped != 0 }
 
-// ensure returns the metadata entry for pfn, materializing its chunk.
-func (t *pageTable) ensure(pfn layout.PFN) *pageMeta {
-	ci := int(pfn >> pageChunkShift)
-	for len(t.chunks) <= ci {
-		t.chunks = append(t.chunks, nil)
-	}
-	if t.chunks[ci] == nil {
-		t.chunks[ci] = make([]pageMeta, pageChunkSize)
-	}
-	return &t.chunks[ci][int(pfn&pageChunkMask)]
-}
+// dom returns the domain the frame was last mapped into.
+func (pm *pageMeta) dom() int { return int(pm.owner >> ownerVPNBits & (1<<ownerDomBits - 1)) }
 
-// forEachMapped visits every mapped frame in ascending PFN order.
-func (t *pageTable) forEachMapped(fn func(pfn layout.PFN, pm *pageMeta)) {
-	for ci, ch := range t.chunks {
-		if ch == nil {
-			continue
-		}
-		base := layout.PFN(ci) << pageChunkShift
-		for i := range ch {
-			if ch[i].mapped {
-				fn(base+layout.PFN(i), &ch[i])
-			}
-		}
-	}
-}
+// vpn returns the VPN the frame was last mapped at.
+func (pm *pageMeta) vpn() layout.VPN { return layout.VPN(pm.owner & (1<<ownerVPNBits - 1)) }
 
 // Controller is the secure memory controller for one simulated machine.
 // It is not safe for concurrent use; the simulation kernel serializes
@@ -120,11 +100,13 @@ type Controller struct {
 	global *tree.Global // Baseline & StaticPartition
 	forest *tree.Forest // IvLeague schemes
 
-	// pages is the per-frame metadata arena: TreeLing slot (the system's
-	// LMM truth — the paper stores it in extended PTEs; the timing of PTE
+	// pages is the per-frame metadata: TreeLing slot (the system's LMM
+	// truth — the paper stores it in extended PTEs; the timing of PTE
 	// residency is modelled through the LMM cache and PTE-region DRAM
-	// accesses), inverse VPN and owning domain.
-	pages pageTable
+	// accesses), inverse VPN and owning domain. nMapped counts the mapped
+	// frames.
+	pages   arena.Chunked[pageMeta]
+	nMapped int
 
 	// Static partitioning state.
 	partOf    map[int]int // domainID → partition index
@@ -140,9 +122,9 @@ type Controller struct {
 	audit  *telemetry.Audit
 	phases *telemetry.PhaseTimers
 
-	// Functional data plane (WithFunctional only): ciphertext + MAC per
-	// block, in a chunked per-page arena.
-	datamem *dataPlane
+	// Functional data plane (WithFunctional only): one page of
+	// ciphertext + MAC per block for each written frame.
+	data arena.Chunked[*dataPage]
 
 	// Statistics.
 	DataReads     stats.Counter
@@ -222,16 +204,21 @@ func New(cfg *config.Config, scheme config.Scheme, partitions int, opts ...Optio
 		if partitions <= 0 || partitions&(partitions-1) != 0 {
 			return nil, fmt.Errorf("secmem: partition count %d must be a positive power of two", partitions)
 		}
+		// A walk ends at the highest level whose node covers at most one
+		// partition, so no node it reads spans two domains' frames; each
+		// partition keeps partPages/arity^partLevel subtree roots on-chip.
+		partPages := lay.Pages / uint64(partitions)
+		arity := uint64(lay.Arity)
+		if partPages < arity {
+			return nil, fmt.Errorf("secmem: %d partitions of %d pages: a partition is smaller than one level-1 tree node (%d pages)",
+				partitions, partPages, arity)
+		}
 		c.partCount = partitions
 		c.partOf = make(map[int]int)
-		partPages := lay.Pages / uint64(partitions)
-		lvl := 0
-		cover := uint64(1)
-		for cover < partPages && lvl < lay.GlobalLevels {
-			cover *= uint64(lay.Arity)
-			lvl++
+		c.partLevel = 1
+		for cover := arity * arity; cover <= partPages && c.partLevel < lay.GlobalLevels; cover *= arity {
+			c.partLevel++
 		}
-		c.partLevel = lvl
 		if c.functional {
 			c.global = tree.NewGlobal(lay)
 		}
@@ -266,11 +253,10 @@ type leafUpdater struct{ c *Controller }
 
 // UpdateLeaf implements core.LeafUpdater.
 func (u leafUpdater) UpdateLeaf(domainID int, pfn layout.PFN, slot core.SlotID) {
-	pm := u.c.pages.ensure(pfn)
-	pm.slot = slot
-	pm.hasSlot = true
-	if pm.mapped {
-		u.c.lmm.Access(domainID, pm.vpn, true)
+	pm := u.c.pages.Ensure(pfn)
+	pm.setSlot(slot)
+	if pm.mapped() {
+		u.c.lmm.Access(domainID, pm.vpn(), true)
 	}
 }
 
@@ -280,10 +266,9 @@ func (c *Controller) Scheme() config.Scheme { return c.scheme }
 // Layout exposes the address map (used by the attack module and tests).
 func (c *Controller) Layout() *layout.Layout { return c.lay }
 
-// DRAM exposes the memory model's statistics.
-func (c *Controller) DRAM() *dram.Model { return c.dram }
-
-// TreeCache exposes the integrity-tree metadata cache (attack module).
+// TreeCache exposes the integrity-tree metadata cache.
+//
+//ivlint:allow nocaller — tests outside package secmem (sim's result cross-check) read its counters, and TestPathAddrsMatchReference stays as it was
 func (c *Controller) TreeCache() *cache.Cache { return c.treeCache }
 
 // CounterCache exposes the encryption-counter cache.
@@ -291,9 +276,6 @@ func (c *Controller) CounterCache() *cache.Cache { return c.counterCache }
 
 // IvLeague returns the domain controller, or nil for non-IvLeague schemes.
 func (c *Controller) IvLeague() *core.Controller { return c.ivc }
-
-// LMM returns the LMM cache, or nil for non-IvLeague schemes.
-func (c *Controller) LMM() *core.LMMCache { return c.lmm }
 
 // Counters exposes the functional counter store.
 func (c *Controller) Counters() *ctr.Store { return c.counters }
@@ -308,11 +290,11 @@ func (c *Controller) Forest() *tree.Forest { return c.forest }
 
 // SlotOf returns the current TreeLing slot verifying pfn (IvLeague only).
 func (c *Controller) SlotOf(pfn layout.PFN) (core.SlotID, bool) {
-	pm := c.pages.get(pfn)
-	if pm == nil || !pm.hasSlot {
+	pm := c.pages.Get(pfn)
+	if pm == nil {
 		return 0, false
 	}
-	return pm.slot, true
+	return pm.slot()
 }
 
 // Owner returns the domain and VPN a frame is mapped to; ok is false while
@@ -320,11 +302,11 @@ func (c *Controller) SlotOf(pfn layout.PFN) (core.SlotID, bool) {
 //
 //ivlint:hotpath
 func (c *Controller) Owner(pfn layout.PFN) (domain int, vpn layout.VPN, ok bool) {
-	pm := c.pages.get(pfn)
-	if pm == nil || !pm.mapped {
+	pm := c.pages.Get(pfn)
+	if pm == nil || !pm.mapped() {
 		return 0, 0, false
 	}
-	return int(pm.dom), pm.vpn, true
+	return pm.dom(), pm.vpn(), true
 }
 
 // Functional reports whether the functional crypto/integrity layer is on.
@@ -340,9 +322,11 @@ type PageRef struct {
 
 // MappedPages returns every mapped frame in ascending PFN order.
 func (c *Controller) MappedPages() []PageRef {
-	refs := make([]PageRef, 0, c.pages.n)
-	c.pages.forEachMapped(func(pfn layout.PFN, pm *pageMeta) {
-		refs = append(refs, PageRef{Domain: int(pm.dom), VPN: pm.vpn, PFN: pfn})
+	refs := make([]PageRef, 0, c.nMapped)
+	c.pages.Each(func(pfn layout.PFN, pm *pageMeta) {
+		if pm.mapped() {
+			refs = append(refs, PageRef{Domain: pm.dom(), VPN: pm.vpn(), PFN: pfn})
+		}
 	})
 	return refs
 }

@@ -138,14 +138,14 @@ func TestVerificationWalkStopsAtCachedNode(t *testing.T) {
 	// First read: cold caches → some path read from memory.
 	c.Do(AccessRequest{Domain: 1, VPN: 9, PFN: 9})
 	before := c.Verifications.Value()
-	accBefore := c.DRAM().Reads.Value()
+	accBefore := c.dram.Reads.Value()
 	// Second read: counter cached → no verification at all.
 	c.Do(AccessRequest{Now: 100, Domain: 1, VPN: 9, PFN: 9})
 	if c.Verifications.Value() != before {
 		t.Fatal("cached counter still triggered verification")
 	}
-	if c.DRAM().Reads.Value() != accBefore+1 { // only the data block
-		t.Fatalf("unexpected memory reads: %d -> %d", accBefore, c.DRAM().Reads.Value())
+	if c.dram.Reads.Value() != accBefore+1 { // only the data block
+		t.Fatalf("unexpected memory reads: %d -> %d", accBefore, c.dram.Reads.Value())
 	}
 }
 
@@ -265,6 +265,44 @@ func TestStaticPartitionRejectsBadCount(t *testing.T) {
 	cfg := testCfg()
 	if _, err := New(&cfg, config.SchemeStaticPartition, 3); err == nil {
 		t.Fatal("non-power-of-two partitions accepted")
+	}
+}
+
+// TestStaticPartitionPathsDisjoint requires that no two domains' walks
+// share a node block on the test geometry, whose 8,192-page partitions
+// are not a power of the arity: a level-5 node covers four partitions, so
+// the walks must end at level 4.
+func TestStaticPartitionPathsDisjoint(t *testing.T) {
+	c := newCtl(t, config.SchemeStaticPartition, false)
+	owner := map[uint64]int{}
+	for dom := 1; dom <= 8; dom++ {
+		if err := c.CreateDomain(dom); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := c.PartitionRange(dom)
+		for _, pfn := range []layout.PFN{lo, lo + 1, (lo + hi) / 2, hi - 1} {
+			addrs, err := c.PathAddrs(pfn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range addrs {
+				if d, ok := owner[a]; ok && d != dom {
+					t.Fatalf("domains %d and %d both verify through node block %#x (pfn %d)", d, dom, a, uint64(pfn))
+				}
+				owner[a] = dom
+			}
+		}
+	}
+}
+
+func TestStaticPartitionRejectsPartitionBelowOneLeafNode(t *testing.T) {
+	cfg := testCfg()
+	parts := int(cfg.TotalPages()) / cfg.SecureMem.TreeArity
+	if _, err := New(&cfg, config.SchemeStaticPartition, parts); err != nil {
+		t.Fatalf("%d partitions of one level-1 node each: %v", parts, err)
+	}
+	if _, err := New(&cfg, config.SchemeStaticPartition, 2*parts); err == nil {
+		t.Fatalf("%d partitions of half a level-1 node accepted", 2*parts)
 	}
 }
 

@@ -21,7 +21,7 @@ var ErrNoTamperTarget = errors.New("secmem: no such tamper target")
 
 // tamperBlock returns the live block state at (pfn, block), or nil.
 func (c *Controller) tamperBlock(pfn layout.PFN, block int) *blockState {
-	p := c.dataMem().page(pfn)
+	p := c.dataPage(pfn)
 	if p == nil || !p.isPresent(block) {
 		return nil
 	}
@@ -97,11 +97,16 @@ func (c *Controller) TamperLMM(pfn layout.PFN, forged core.SlotID) (core.SlotID,
 	if c.ivc == nil {
 		return core.InvalidSlot, fmt.Errorf("%w: scheme has no LMM", ErrNoTamperTarget)
 	}
-	pm := c.pages.get(pfn)
-	if pm == nil || !pm.hasSlot {
+	if forged == core.InvalidSlot {
+		// The Leaf-ID field encodes InvalidSlot as "no entry": storing it
+		// would delete the entry, not forge one.
+		return core.InvalidSlot, fmt.Errorf("secmem: cannot forge %v", forged)
+	}
+	pm := c.pages.Get(pfn)
+	if pm == nil || pm.lmm == 0 {
 		return core.InvalidSlot, fmt.Errorf("%w: pfn %d has no LMM entry", ErrNoTamperTarget, uint64(pfn))
 	}
-	old := pm.slot
-	pm.slot = forged
+	old, _ := pm.slot()
+	pm.setSlot(forged)
 	return old, nil
 }

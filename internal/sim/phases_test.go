@@ -72,7 +72,7 @@ func TestPhaseTimerGaugesRegistered(t *testing.T) {
 	if _, ok := snap.Gauges["phase.step.ns"]; !ok {
 		t.Fatal("phase.step.ns gauge missing with timers attached")
 	}
-	if snap.Gauge("phase.step.samples") == 0 {
+	if snap.Gauges["phase.step.samples"] == 0 {
 		t.Fatal("phase.step.samples is zero after a run")
 	}
 

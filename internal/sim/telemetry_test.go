@@ -54,7 +54,7 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		t.Fatalf("fresh machine has nonzero counters: %v", w)
 	}
 	// Every statically registered name must exist on both machines.
-	for _, name := range fresh.Registry().Snapshot().CounterNames() {
+	for _, name := range stats.SortedKeys(fresh.Registry().Snapshot().Counters) {
 		if _, ok := got.Counters[name]; !ok {
 			t.Fatalf("counter %q missing after reset", name)
 		}
@@ -89,11 +89,11 @@ func TestSnapshotMatchesResult(t *testing.T) {
 		return stats.Ratio(hits.Value(), hits.Value()+misses.Value())
 	}
 	mem := m.Mem()
-	dram := mem.DRAM()
-	if got := dram.Reads.Value() + dram.Writes.Value(); got != res.MemAccesses {
+	reads := snap.Counter("secmem.dram.reads")
+	if got := reads + snap.Counter("secmem.dram.writes"); got != res.MemAccesses {
 		t.Fatalf("MemAccesses: counters %d vs result %d", got, res.MemAccesses)
 	}
-	if got := stats.Ratio(dram.TotalLatency.Value(), dram.Reads.Value()); got != res.DRAMReadLat {
+	if got := stats.Ratio(snap.Counter("secmem.dram.read_latency"), reads); got != res.DRAMReadLat {
 		t.Fatalf("DRAMReadLat: counters %v vs result %v", got, res.DRAMReadLat)
 	}
 	if got := mem.Verifications.Value(); got != res.Verification {
@@ -113,7 +113,10 @@ func TestSnapshotMatchesResult(t *testing.T) {
 		nflbHits.Add(b.Hits.Value())
 		nflbMisses.Add(b.Misses.Value())
 	}
-	tc, cc, lc := mem.TreeCache(), mem.CounterCache(), mem.LMM().Stats()
+	var lmmHits, lmmMisses stats.Counter
+	lmmHits.Add(snap.Counter("secmem.lmm.hits"))
+	lmmMisses.Add(snap.Counter("secmem.lmm.misses"))
+	tc, cc := mem.TreeCache(), mem.CounterCache()
 	for _, r := range []struct {
 		name         string
 		hits, misses *stats.Counter
@@ -121,7 +124,7 @@ func TestSnapshotMatchesResult(t *testing.T) {
 	}{
 		{"TreeHitRate", &tc.Hits, &tc.Misses, res.TreeHitRate},
 		{"CtrHitRate", &cc.Hits, &cc.Misses, res.CtrHitRate},
-		{"LMMHitRate", &lc.Hits, &lc.Misses, res.LMMHitRate},
+		{"LMMHitRate", &lmmHits, &lmmMisses, res.LMMHitRate},
 		{"NFLBHitRate", &nflbHits, &nflbMisses, res.NFLBHitRate},
 	} {
 		if got := hitRate(r.hits, r.misses); got != r.result {
@@ -167,9 +170,9 @@ func TestFunctionalTreeCountersWired(t *testing.T) {
 	}
 }
 
-// TestDeltaAcrossPhases checks Snapshot/Delta semantics over a run: a
-// snapshot taken after warmup and one at the end differ by measured-phase
-// traffic only.
+// TestDeltaAcrossPhases checks snapshots across a run's phases: the
+// snapshot before the run is in warmup and has seen no traffic, and the
+// one at the end has the measured phase's DRAM reads.
 func TestDeltaAcrossPhases(t *testing.T) {
 	cfg := quickCfg()
 	mix := smallMix(t)
@@ -181,15 +184,13 @@ func TestDeltaAcrossPhases(t *testing.T) {
 	if before.Phase != telemetry.PhaseWarmup {
 		t.Fatalf("pre-run phase = %q, want warmup", before.Phase)
 	}
+	if n := before.Counter("secmem.dram.reads"); n != 0 {
+		t.Fatalf("pre-run snapshot has %d DRAM reads, want 0", n)
+	}
 	if res := m.Run(); res.Failed {
 		t.Fatalf("run failed: %s", res.FailMsg)
 	}
-	after := m.Registry().Snapshot()
-	d := after.Delta(before)
-	if d.Counter("secmem.dram.reads") != after.Counter("secmem.dram.reads") {
-		t.Fatal("delta against an all-zero snapshot must equal the later snapshot")
-	}
-	if d.Counter("secmem.dram.reads") == 0 {
+	if m.Registry().Snapshot().Counter("secmem.dram.reads") == 0 {
 		t.Fatal("no DRAM reads in measured phase")
 	}
 }

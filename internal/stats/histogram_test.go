@@ -56,25 +56,11 @@ func TestHistogramQuantileOverflow(t *testing.T) {
 	if got := h.Quantile(0.1); got != 1 {
 		t.Fatalf("Quantile(0.1) = %d, want 1", got)
 	}
-	if got := h.Bucket(9); got != 2 {
+	if got := h.over; got != 2 {
 		t.Fatalf("overflow bucket = %d, want 2", got)
 	}
 	// Mean still uses the true observed values.
 	if want := (1.0 + 100 + 200) / 3; math.Abs(h.Mean()-want) > 1e-12 {
 		t.Fatalf("Mean = %v, want %v", h.Mean(), want)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(4)
-	h.Observe(2)
-	h.Observe(100)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 || h.Bucket(9) != 0 {
-		t.Fatalf("Reset left state: count=%d mean=%v over=%d", h.Count(), h.Mean(), h.Bucket(9))
-	}
-	h.Observe(1)
-	if h.Count() != 1 || h.Mean() != 1 {
-		t.Fatal("histogram unusable after Reset")
 	}
 }

@@ -72,12 +72,6 @@ func (m *Mean) Value() float64 {
 	return m.sum / float64(m.n)
 }
 
-// Count returns the number of samples observed.
-func (m *Mean) Count() uint64 { return m.n }
-
-// Sum returns the sum of all samples.
-func (m *Mean) Sum() float64 { return m.sum }
-
 // Gmean returns the geometric mean of vs. Zero or negative entries are
 // rejected with a panic since they indicate a logic error upstream (figure
 // aggregation never legitimately produces them). Empty input returns 0.
@@ -133,25 +127,6 @@ func (h *Histogram) Mean() float64 {
 
 // Count returns the total number of samples.
 func (h *Histogram) Count() uint64 { return h.n }
-
-// Bucket returns the count of samples with value v (or the overflow count
-// when v exceeds the configured maximum).
-func (h *Histogram) Bucket(v int) uint64 {
-	if v < len(h.buckets) {
-		return h.buckets[v]
-	}
-	return h.over
-}
-
-// Reset zeroes all buckets and totals, keeping the bucket geometry.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.over = 0
-	h.sum = 0
-	h.n = 0
-}
 
 // Quantile returns the smallest sample value v such that at least p (in
 // [0,1]) of all samples are <= v. When the quantile falls into the

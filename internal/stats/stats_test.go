@@ -36,8 +36,8 @@ func TestMean(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4} {
 		m.Observe(v)
 	}
-	if m.Value() != 2.5 || m.Count() != 4 || m.Sum() != 10 {
-		t.Fatalf("mean=%v count=%d sum=%v", m.Value(), m.Count(), m.Sum())
+	if m.Value() != 2.5 || m.n != 4 || m.sum != 10 {
+		t.Fatalf("mean=%v count=%d sum=%v", m.Value(), m.n, m.sum)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{0, 1, 1, 4, 9} {
 		h.Observe(v)
 	}
-	if h.Bucket(1) != 2 || h.Bucket(9) != 1 {
-		t.Fatalf("buckets: %d %d", h.Bucket(1), h.Bucket(9))
+	if h.buckets[1] != 2 || h.over != 1 {
+		t.Fatalf("buckets: %d %d", h.buckets[1], h.over)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count %d", h.Count())

@@ -57,18 +57,6 @@ func (c *Cache) objectPath(fp string) string {
 	return filepath.Join(c.dir, "objects", shard, fp+".json")
 }
 
-// Len counts the committed objects in the cache (test/report helper).
-func (c *Cache) Len() int {
-	n := 0
-	filepath.WalkDir(filepath.Join(c.dir, "objects"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && d != nil && !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n
-}
-
 // entry is the on-disk envelope around one cell result. Everything needed
 // to distrust the entry travels with it: the schema version, the
 // fingerprint it claims to answer, and a checksum of the payload bytes.

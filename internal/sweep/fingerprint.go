@@ -34,7 +34,7 @@ import (
 // simulation semantics, changed canonical config encoding) atomically
 // invalidates every stale entry: old objects decode to version mismatches
 // and are treated as misses.
-const Version = "ivleague-sweep-v2"
+const Version = "ivleague-sweep-v3"
 
 // CellKey identifies one sweep cell. Two cells with equal fingerprints
 // must be guaranteed to produce identical payloads; everything a cell's

@@ -70,7 +70,7 @@ func TestMetricsRegisterPublishesGauges(t *testing.T) {
 		"sweep.cell.failed":         0,
 		"sweep.cell.latency_ms.p50": 20,
 	} {
-		if got := snap.Gauge(name); got != want {
+		if got := snap.Gauges[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestLedgerUnderConcurrency(t *testing.T) {
 			if p.DoneCells > p.TotalCells || p.FailedCells > p.DoneCells || int(p.Latency.Count) > p.DoneCells {
 				t.Errorf("inconsistent report: %+v", p)
 			}
-			if done := reg.Snapshot().Gauge("sweep.cell.done"); done > workers*perWorker {
+			if done := reg.Snapshot().Gauges["sweep.cell.done"]; done > workers*perWorker {
 				t.Errorf("snapshot done = %v beyond the plan", done)
 			}
 			select {
@@ -163,7 +163,7 @@ func TestLedgerUnderConcurrency(t *testing.T) {
 		t.Fatalf("failed = %d, want %d", p.FailedCells, failed.Load())
 	}
 	snap := reg.Snapshot()
-	if snap.Gauge("sweep.cell.done") != float64(p.DoneCells) || snap.Gauge("sweep.cell.failed") != float64(p.FailedCells) {
+	if snap.Gauges["sweep.cell.done"] != float64(p.DoneCells) || snap.Gauges["sweep.cell.failed"] != float64(p.FailedCells) {
 		t.Fatalf("snapshot disagrees with Progress: %+v", p)
 	}
 }

@@ -148,18 +148,6 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Levels returns total touches per tree level (LevelNFL for NFL blocks),
-// a coverage check that every metadata class reaches the audit.
-func (a *Audit) Levels() map[int]uint64 {
-	out := make(map[int]uint64)
-	for ek, nt := range a.nodes {
-		for _, n := range nt.byDomain {
-			out[ek.key.Level] += n
-		}
-	}
-	return out
-}
-
 // SharedKeys returns the keys of nodes touched by more than one domain
 // within one recycle epoch, in (TreeLing, Level, Node) order — the
 // diagnostic trail when an IvLeague scheme unexpectedly shares.

@@ -66,13 +66,6 @@ func (r *Registry) SetPhase(phase string) {
 	r.mu.Unlock()
 }
 
-// Phase returns the current phase marker.
-func (r *Registry) Phase() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.phase
-}
-
 // RegisterCounter adopts an existing counter under a unique name. The
 // registry reads it at snapshot time and zeroes it on Reset. Registration
 // is construction-time wiring, so collisions and nil counters panic.
@@ -187,9 +180,6 @@ func (r *Registry) Snapshot() Snapshot {
 // Counter returns a counter's value (0 when absent).
 func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 
-// Gauge returns a gauge's value (0 when absent).
-func (s Snapshot) Gauge(name string) float64 { return s.Gauges[name] }
-
 // HitRate is the shared hits/(hits+misses) helper for every cache-like
 // component that registers "<prefix>.hits" and "<prefix>.misses"
 // (NFLB, LMM, tree/counter caches, core caches). Zero traffic reads as 0.
@@ -203,30 +193,3 @@ func (s Snapshot) HitRate(prefix string) float64 {
 func (s Snapshot) Ratio(num, den string) float64 {
 	return stats.Ratio(s.Counters[num], s.Counters[den])
 }
-
-// Delta returns this snapshot minus prev: counters subtract (saturating at
-// zero, so a reset between the two snapshots cannot underflow); gauges and
-// the phase are taken from the later snapshot.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Phase:    s.Phase,
-		Counters: make(map[string]uint64, len(s.Counters)),
-		Gauges:   make(map[string]float64, len(s.Gauges)),
-	}
-	for _, name := range stats.SortedKeys(s.Counters) {
-		v := s.Counters[name]
-		if p := prev.Counters[name]; p < v {
-			d.Counters[name] = v - p
-		} else {
-			d.Counters[name] = 0
-		}
-	}
-	for _, name := range stats.SortedKeys(s.Gauges) {
-		d.Gauges[name] = s.Gauges[name]
-	}
-	return d
-}
-
-// CounterNames returns the snapshot's counter names in sorted order (for
-// deterministic dumps).
-func (s Snapshot) CounterNames() []string { return stats.SortedKeys(s.Counters) }

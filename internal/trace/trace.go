@@ -150,19 +150,3 @@ func (t *Reader) Next() (Record, error) {
 		VPN:    vpn,
 	}, nil
 }
-
-// ReadAll drains the trace into a slice (tests and small traces).
-func ReadAll(r io.Reader) ([]Record, error) {
-	tr := NewReader(r)
-	var out []Record
-	for {
-		rec, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}

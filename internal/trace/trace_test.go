@@ -8,6 +8,22 @@ import (
 	"testing/quick"
 )
 
+// readAll drains the trace into a slice.
+func readAll(r io.Reader) ([]Record, error) {
+	tr := NewReader(r)
+	var out []Record
+	for {
+		rec, err := tr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -28,7 +44,7 @@ func TestRoundTrip(t *testing.T) {
 	if w.Count() != 4 {
 		t.Fatalf("count %d", w.Count())
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +64,7 @@ func TestEmptyTrace(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty trace: %v %d", err, len(got))
 	}
@@ -67,7 +83,7 @@ func TestTruncatedTrace(t *testing.T) {
 	w.Append(Record{Thread: 0, VPN: 1})
 	w.Flush()
 	raw := buf.Bytes()[:buf.Len()-1]
-	_, err := ReadAll(bytes.NewReader(raw))
+	_, err := readAll(bytes.NewReader(raw))
 	if err == nil {
 		t.Fatal("truncated trace read successfully")
 	}
@@ -112,7 +128,7 @@ func TestAppendRejectsUnreplayableRecords(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil || len(got) != 1 || got[0] != edge {
 		t.Fatalf("read back %+v, %v; want [%+v]", got, err, edge)
 	}
@@ -151,7 +167,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
+		got, err := readAll(&buf)
 		if err != nil || len(got) != len(want) {
 			return false
 		}

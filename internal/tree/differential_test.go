@@ -19,6 +19,9 @@ import (
 	"ivleague/internal/rng"
 )
 
+// hasRoot reports whether the on-chip root table has an entry for tl.
+func hasRoot(f *Forest, tl int) bool { return tl < len(f.rootSet) && f.rootSet[tl] }
+
 // SlotStore is a sparse map from node key to the node's hash slots. Keys
 // are caller-defined (the global tree and the TreeLing forest use different
 // encodings). Absent nodes read as all-zero slots.
@@ -334,7 +337,7 @@ func TestForestArenaMatchesMapShadow(t *testing.T) {
 					delete(last, s)
 				}
 			}
-			if f.HasRoot(tl) {
+			if hasRoot(f, tl) {
 				t.Fatalf("op %d: arena kept a root for reset TreeLing %d", i, tl)
 			}
 		}
@@ -357,8 +360,8 @@ func TestForestArenaMatchesMapShadow(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, has := sh.roots[tl]
-		if f2.HasRoot(tl) != has {
-			t.Fatalf("TreeLing %d: recovered root presence %v, shadow %v", tl, f2.HasRoot(tl), has)
+		if hasRoot(f2, tl) != has {
+			t.Fatalf("TreeLing %d: recovered root presence %v, shadow %v", tl, hasRoot(f2, tl), has)
 		}
 		if has && f2.Root(tl) != want {
 			t.Fatalf("TreeLing %d: recovered root %#x != shadow %#x", tl, f2.Root(tl), want)

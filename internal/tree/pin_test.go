@@ -128,7 +128,7 @@ func TestIntegrityErrorsPinned(t *testing.T) {
 			verr := f.Verify(1, leaf, 5, 0x1005)
 			rerr := f.RecoverRoot(1)
 			return fmt.Sprintf("%s | %s has=%v root=%#x | after=%s | digest=%#x", errText(verr), errText(rerr),
-				f.HasRoot(1), f.Root(1), errText(f.Verify(1, leaf, 5, 0x1005)), f.DigestTreeLing(1))
+				hasRoot(f, 1), f.Root(1), errText(f.Verify(1, leaf, 5, 0x1005)), f.DigestTreeLing(1))
 		}, "integrity: root violation, TreeLing 1, level 4, node 0, addr 0x1049b700: top node disagrees with on-chip root | integrity: torn-state violation, TreeLing 1, level 4, node 0 slot 3, addr 0x1049b700: persisted parent link disagrees with child hash (torn image) has=true root=0x67389153a1b3e666 | after=integrity: root violation, TreeLing 1, level 4, node 0, addr 0x1049b700: top node disagrees with on-chip root | digest=0x33f9c0f794b07763"},
 		{"forest/torn", func() string {
 			f := pinForest(lay)
@@ -139,14 +139,14 @@ func TestIntegrityErrorsPinned(t *testing.T) {
 			var out string
 			for tl := 0; tl < 4; tl++ {
 				out += fmt.Sprintf("tl%d: %s has=%v root=%#x digest=%#x; ", tl, errText(f2.RecoverRoot(tl)),
-					f2.HasRoot(tl), f2.Root(tl), f2.DigestTreeLing(tl))
+					hasRoot(f2, tl), f2.Root(tl), f2.DigestTreeLing(tl))
 			}
 			return out
 		}, "tl0: <nil> has=true root=0x2a9588060fa8f7c2 digest=0xfb182f4226b28a8d; tl1: <nil> has=true root=0x67389153a1b3e666 digest=0xbd9f061d0df25be8; tl2: integrity: torn-state violation, TreeLing 2, level 3, node 1 slot 0, addr 0x104a4980: persisted parent link disagrees with child hash (torn image) has=false root=0x0 digest=0x7a00236191359cc7; tl3: <nil> has=true root=0x2a557c907151f7c9 digest=0x33d3629365c3ad28; "},
 		{"forest/untouched", func() string {
 			f := pinForest(lay)
 			return fmt.Sprintf("%s | %s | %s | has=%v digest=%#x", errText(f.Verify(9, leaf, 0, 0x5)),
-				errText(f.Verify(9, leaf, 0, 0)), errText(f.RecoverRoot(9)), f.HasRoot(9), f.DigestTreeLing(9))
+				errText(f.Verify(9, leaf, 0, 0)), errText(f.RecoverRoot(9)), hasRoot(f, 9), f.DigestTreeLing(9))
 		}, "integrity: tree-node violation, TreeLing 9, level 1, node 258 slot 0, addr 0x104e8980: stored slot disagrees with leaf hash | integrity: tree-node violation, TreeLing 9, level 2, node 32 slot 1, addr 0x104e5100: stored slot disagrees with recomputed path hash | <nil> | has=false digest=0xcbf29ce44fd0bfc1"},
 	}
 	for _, tc := range cases {

@@ -467,9 +467,6 @@ func (f *Forest) Root(tl int) uint64 {
 	return 0
 }
 
-// HasRoot reports whether the on-chip root table has an entry for tl.
-func (f *Forest) HasRoot(tl int) bool { return tl < len(f.rootSet) && f.rootSet[tl] }
-
 // Clone deep-copies the forest: the persisted node image plus the on-chip
 // root table (which RecoverRoot rebuilds from the image alone).
 func (f *Forest) Clone() *Forest {

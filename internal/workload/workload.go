@@ -209,9 +209,6 @@ func newGenerator(p Profile, seed uint64, thread int, opts GenOpts, perm []uint3
 	return g
 }
 
-// Pages returns the effective (scaled) footprint in pages.
-func (g *Generator) Pages() uint64 { return g.pages }
-
 // InitInstr estimates the instructions this thread spends in its
 // initialization sweep; the simulator extends the warmup window past it.
 func (g *Generator) InitInstr() uint64 {

@@ -92,8 +92,8 @@ func TestGeneratorEventsInBounds(t *testing.T) {
 		if !ev.Mem {
 			continue
 		}
-		if ev.VPN >= g.Pages() {
-			t.Fatalf("VPN %d out of %d pages", ev.VPN, g.Pages())
+		if ev.VPN >= g.pages {
+			t.Fatalf("VPN %d out of %d pages", ev.VPN, g.pages)
 		}
 		if ev.Block < 0 || ev.Block >= config.BlocksPerPage {
 			t.Fatalf("block %d out of range", ev.Block)
@@ -104,7 +104,7 @@ func TestGeneratorEventsInBounds(t *testing.T) {
 func TestInitSweepCoversRange(t *testing.T) {
 	p, _ := ByName("x264")
 	g := NewGenerator(p, 5, 0, GenOpts{Scale: 0.1, InitFrac: 0.5})
-	want := g.Pages() / 2
+	want := g.pages / 2
 	seen := map[uint64]bool{}
 	// Drain the init sweep: all init events are writes in VA order.
 	for uint64(len(seen)) < want {
@@ -145,7 +145,7 @@ func TestChurnCallback(t *testing.T) {
 	g := NewGenerator(p, 9, 0, GenOpts{Scale: 0.1, InitFrac: 0})
 	freed := 0
 	g.OnFreeRange = func(start uint64, n int) {
-		if start+uint64(n) > g.Pages() {
+		if start+uint64(n) > g.pages {
 			t.Fatalf("churn range [%d,+%d) out of bounds", start, n)
 		}
 		freed += n
