@@ -61,9 +61,6 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 		return 0, fmt.Errorf("secmem: vpn %#x wider than %d bits", uint64(vpn), ownerVPNBits)
 	}
 	pm := c.pages.Ensure(pfn)
-	if !pm.mapped() {
-		c.nMapped++
-	}
 	pm.owner = ownerMapped | uint64(domain)<<ownerVPNBits | uint64(vpn)
 	switch {
 	case c.ivc != nil:
@@ -73,7 +70,6 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 			// A rejected map (TreeLing starvation) must leave no residue,
 			// or a phantom page with no slot would linger in the metadata.
 			pm.owner &^= ownerMapped
-			c.nMapped--
 			return 0, err
 		}
 		pm.setSlot(slot)
@@ -129,9 +125,8 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 // disagree about the page's state; the caller must fail the run.
 func (c *Controller) OnPageUnmap(now uint64, domain int, vpn layout.VPN, pfn layout.PFN) (int, error) {
 	pm := c.pages.Get(pfn)
-	if pm != nil && pm.mapped() {
+	if pm != nil {
 		pm.owner &^= ownerMapped
-		c.nMapped--
 	}
 	c.counters.Drop(pfn)
 	if p := c.data.Get(pfn); p != nil {

@@ -3,7 +3,7 @@ package secmem
 import (
 	"bytes"
 	"errors"
-	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -129,7 +129,7 @@ func TestPageMetaMatchesReference(t *testing.T) {
 						t.Fatalf("step %d: SlotOf(%d) = (%v, %v); reference (%v, %v)", step, pfn, gs, gsok, ws, wsok)
 					}
 				}
-				if got, want := c.MappedPages(), ref.mappedPages(); !reflect.DeepEqual(got, want) {
+				if got, want := c.MappedPages(), ref.mappedPages(); !slices.Equal(got, want) {
 					t.Fatalf("step %d: MappedPages = %v; reference %v", step, got, want)
 				}
 				if got, want := pageLines(c.StateDigest()), ref.pageDigest(); !bytes.Equal(got, want) {

@@ -108,9 +108,6 @@ func Recover(cfg *config.Config, img *Image, opts ...Option) (*Controller, error
 	c.data = cloneData(&img.data)
 	for _, pi := range img.pages {
 		*c.pages.Ensure(pi.pfn) = pi.meta
-		if pi.meta.mapped() {
-			c.nMapped++
-		}
 	}
 	if img.partOf != nil {
 		for _, id := range stats.SortedKeys(img.partOf) {

@@ -103,10 +103,8 @@ type Controller struct {
 	// pages is the per-frame metadata: TreeLing slot (the system's LMM
 	// truth — the paper stores it in extended PTEs; the timing of PTE
 	// residency is modelled through the LMM cache and PTE-region DRAM
-	// accesses), inverse VPN and owning domain. nMapped counts the mapped
-	// frames.
-	pages   arena.Chunked[pageMeta]
-	nMapped int
+	// accesses), inverse VPN and owning domain.
+	pages arena.Chunked[pageMeta]
 
 	// Static partitioning state.
 	partOf    map[int]int // domainID → partition index
@@ -322,7 +320,7 @@ type PageRef struct {
 
 // MappedPages returns every mapped frame in ascending PFN order.
 func (c *Controller) MappedPages() []PageRef {
-	refs := make([]PageRef, 0, c.nMapped)
+	var refs []PageRef
 	c.pages.Each(func(pfn layout.PFN, pm *pageMeta) {
 		if pm.mapped() {
 			refs = append(refs, PageRef{Domain: pm.dom(), VPN: pm.vpn(), PFN: pfn})
