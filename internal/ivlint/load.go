@@ -11,7 +11,6 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -31,8 +30,8 @@ type Package struct {
 }
 
 // Module is every non-test package of the repository: the main module and
-// each module nested in its tree (benchmark/ has a go.mod of its own),
-// type-checked once. It is the module-wide pass's input.
+// benchmark/, which has a go.mod of its own, type-checked once. It is the
+// module-wide pass's input.
 type Module struct {
 	Packages []*Package
 
@@ -91,32 +90,16 @@ func Load(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// moduleDirs returns the main module's directory and the directory of
-// every module nested in it, skipping what the go command skips
-// (testdata and directories starting with "." or "_").
+// moduleDirs returns the main module's directory and benchmark/, the one
+// module nested in it. A module added elsewhere must be listed here, or
+// nocaller reports what only that module references.
 func moduleDirs() ([]string, error) {
 	out, err := exec.Command("go", "env", "GOMOD").Output()
 	if err != nil {
 		return nil, fmt.Errorf("go env GOMOD: %v", err)
 	}
 	root := filepath.Dir(strings.TrimSpace(string(out)))
-	dirs := []string{root}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() || path == root {
-			return nil
-		}
-		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			return filepath.SkipDir
-		}
-		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	return dirs, err
+	return []string{root, filepath.Join(root, "benchmark")}, nil
 }
 
 // loadIn runs `go list` for the patterns in dir (the current directory

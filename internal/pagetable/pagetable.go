@@ -41,7 +41,6 @@ type Table struct {
 	levels []uint
 	shifts []uint // shift of each level's index field within the VPN
 	root   *ptNode
-	mapped uint64
 }
 
 // New creates an empty page table with the given level widths (totalling
@@ -113,7 +112,6 @@ func (t *Table) Map(vpn layout.VPN, pfn layout.PFN) error {
 		return fmt.Errorf("pagetable: vpn %#x already mapped", uint64(vpn))
 	}
 	*e = uint64(pfn) + 1
-	t.mapped++
 	return nil
 }
 
@@ -125,14 +123,13 @@ func (t *Table) Unmap(vpn layout.VPN) (layout.PFN, bool) {
 	}
 	pfn := layout.PFN(*e - 1)
 	*e = 0
-	t.mapped--
 	return pfn, true
 }
 
 // VPNs returns every mapped VPN in ascending order — the canonical
 // enumeration the model checker folds into its state fingerprint.
 func (t *Table) VPNs() []layout.VPN {
-	out := make([]layout.VPN, 0, t.mapped)
+	var out []layout.VPN
 	var walk func(n *ptNode, prefix uint64, level int)
 	walk = func(n *ptNode, prefix uint64, level int) {
 		if n.ptes != nil {

@@ -14,14 +14,14 @@ func TestMapLookupUnmap(t *testing.T) {
 		if pfn, ok := pt.Lookup(0x12345); !ok || pfn != 99 {
 			t.Fatalf("lookup = %d, %v; want 99, true", pfn, ok)
 		}
-		if pt.mapped != 1 {
-			t.Fatalf("mapped %d", pt.mapped)
+		if n := len(pt.VPNs()); n != 1 {
+			t.Fatalf("mapped %d", n)
 		}
 		old, ok := pt.Unmap(0x12345)
 		if !ok || old != 99 {
 			t.Fatal("unmap failed")
 		}
-		if _, ok := pt.Lookup(0x12345); ok || pt.mapped != 0 {
+		if _, ok := pt.Lookup(0x12345); ok || len(pt.VPNs()) != 0 {
 			t.Fatal("entry survives unmap")
 		}
 	}
@@ -64,7 +64,7 @@ func TestDistinctVPNsNoAliasing(t *testing.T) {
 				return false
 			}
 		}
-		return fresh.mapped == uint64(len(seen))
+		return len(fresh.VPNs()) == len(seen)
 	}
 	_ = pt
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -95,8 +95,8 @@ func TestVPNBeyond36BitsRejected(t *testing.T) {
 		if err := pt.Map(wide, 7); err == nil {
 			t.Fatalf("Map(%#x) accepted a VPN wider than %d bits", uint64(wide), VPNBits)
 		}
-		if pt.mapped != 0 {
-			t.Fatalf("rejected Map left %d mapped", pt.mapped)
+		if n := len(pt.VPNs()); n != 0 {
+			t.Fatalf("rejected Map left %d mapped", n)
 		}
 		if err := pt.Map(5, 9); err != nil {
 			t.Fatalf("Map(5) after the rejected alias: %v", err)

@@ -264,6 +264,11 @@ func (c *Controller) Scheme() config.Scheme { return c.scheme }
 // Layout exposes the address map (used by the attack module and tests).
 func (c *Controller) Layout() *layout.Layout { return c.lay }
 
+// DRAM exposes the memory model's statistics.
+//
+//ivlint:allow nocaller — sim's result cross-check reads the raw counters, and a test outside package secmem cannot reach a _test.go helper
+func (c *Controller) DRAM() *dram.Model { return c.dram }
+
 // TreeCache exposes the integrity-tree metadata cache.
 //
 //ivlint:allow nocaller — tests outside package secmem (sim's result cross-check) read its counters, and TestPathAddrsMatchReference stays as it was
@@ -274,6 +279,11 @@ func (c *Controller) CounterCache() *cache.Cache { return c.counterCache }
 
 // IvLeague returns the domain controller, or nil for non-IvLeague schemes.
 func (c *Controller) IvLeague() *core.Controller { return c.ivc }
+
+// LMM returns the LMM cache, or nil for non-IvLeague schemes.
+//
+//ivlint:allow nocaller — sim's result cross-check reads the raw counters, and a test outside package secmem cannot reach a _test.go helper
+func (c *Controller) LMM() *core.LMMCache { return c.lmm }
 
 // Counters exposes the functional counter store.
 func (c *Controller) Counters() *ctr.Store { return c.counters }

@@ -89,11 +89,11 @@ func TestSnapshotMatchesResult(t *testing.T) {
 		return stats.Ratio(hits.Value(), hits.Value()+misses.Value())
 	}
 	mem := m.Mem()
-	reads := snap.Counter("secmem.dram.reads")
-	if got := reads + snap.Counter("secmem.dram.writes"); got != res.MemAccesses {
+	dram := mem.DRAM()
+	if got := dram.Reads.Value() + dram.Writes.Value(); got != res.MemAccesses {
 		t.Fatalf("MemAccesses: counters %d vs result %d", got, res.MemAccesses)
 	}
-	if got := stats.Ratio(snap.Counter("secmem.dram.read_latency"), reads); got != res.DRAMReadLat {
+	if got := stats.Ratio(dram.TotalLatency.Value(), dram.Reads.Value()); got != res.DRAMReadLat {
 		t.Fatalf("DRAMReadLat: counters %v vs result %v", got, res.DRAMReadLat)
 	}
 	if got := mem.Verifications.Value(); got != res.Verification {
@@ -113,10 +113,7 @@ func TestSnapshotMatchesResult(t *testing.T) {
 		nflbHits.Add(b.Hits.Value())
 		nflbMisses.Add(b.Misses.Value())
 	}
-	var lmmHits, lmmMisses stats.Counter
-	lmmHits.Add(snap.Counter("secmem.lmm.hits"))
-	lmmMisses.Add(snap.Counter("secmem.lmm.misses"))
-	tc, cc := mem.TreeCache(), mem.CounterCache()
+	tc, cc, lc := mem.TreeCache(), mem.CounterCache(), mem.LMM().Stats()
 	for _, r := range []struct {
 		name         string
 		hits, misses *stats.Counter
@@ -124,7 +121,7 @@ func TestSnapshotMatchesResult(t *testing.T) {
 	}{
 		{"TreeHitRate", &tc.Hits, &tc.Misses, res.TreeHitRate},
 		{"CtrHitRate", &cc.Hits, &cc.Misses, res.CtrHitRate},
-		{"LMMHitRate", &lmmHits, &lmmMisses, res.LMMHitRate},
+		{"LMMHitRate", &lc.Hits, &lc.Misses, res.LMMHitRate},
 		{"NFLBHitRate", &nflbHits, &nflbMisses, res.NFLBHitRate},
 	} {
 		if got := hitRate(r.hits, r.misses); got != r.result {
